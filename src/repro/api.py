@@ -13,27 +13,24 @@ choice; ``execute`` accepts SQL text or a logical plan.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import TYPE_CHECKING
 
 from .engines import ENGINE_FACTORIES, make_engine
 from .engines.base import Engine, ExecutionResult
+from .execution import (
+    ExecutionConfig,
+    resolve_engine_override,
+    resolve_executor,
+    run_query,
+)
 from .hardware.device import VirtualCoprocessor
 from .hardware.interconnect import PCIE3, Interconnect
-from .hardware.profiles import GTX970, DeviceProfile, get_profile
-from .kernels.codegen import begin_thread_compile_stats, thread_compile_stats
+from .hardware.profiles import GTX970, DeviceProfile
 from .plan.logical import LogicalPlan
 from .plan.pipelines import extract_pipelines
 from .sql.translate import plan_sql
 from .storage.database import Database
-from .telemetry.events import (
-    installed_log,
-    new_query_id,
-    query_scope,
-    record_event,
-)
-from .telemetry.trace import Tracer, tracing_enabled
 
 if TYPE_CHECKING:  # avoid the api -> serving -> api import cycle
     from .serving.plan_cache import PlanCache
@@ -95,6 +92,13 @@ class Session:
     ``docs/compression.md``).  A codec name (``"rle"``, ``"forpack"``,
     ``"delta"``, ``"dictionary"``, ``"passthrough"``) pins that codec;
     ``"off"`` (default) keeps raw transfers.
+
+    The configuration keywords are validated once into
+    ``session.config`` (an :class:`~repro.execution.ExecutionConfig`)
+    and dispatched by :func:`~repro.execution.resolve_executor`
+    (``session.executor``); every query runs through
+    :func:`~repro.execution.run_query` — the same path each
+    :class:`~repro.serving.Server` worker takes.
     """
 
     def __init__(
@@ -113,105 +117,44 @@ class Session:
         recorder: "FlightRecorder | None" = None,
         compression: str = "off",
     ):
-        from .compression import resolve_compression
-        from .scaleout import validate_devices
-
-        auto_engine = isinstance(engine, str) and engine == "auto"
-        auto_devices = isinstance(devices, str)
-        if auto_devices and devices != "auto":
-            from .errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"devices must be an integer >= 1 or 'auto', got {devices!r}"
-            )
-        if not auto_devices:
-            validate_devices(devices)
-        fault_plan = _coerce_fault_plan(fault_plan)
-        if (auto_engine or auto_devices) and fault_plan is not None:
-            from .errors import ConfigurationError
-
-            raise ConfigurationError(
-                "fault injection needs a pinned configuration; use an "
-                "explicit engine and devices=N instead of 'auto'"
-            )
+        #: The validated :class:`~repro.execution.ExecutionConfig`.
+        self.config = ExecutionConfig(
+            device=device,
+            interconnect=interconnect,
+            engine=engine,
+            devices=devices,
+            partitioning=partitioning,
+            residency=residency,
+            compression=compression,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+        )
+        #: The resolved execution path (see :func:`~repro.execution.resolve_executor`).
+        self.executor = resolve_executor(self.config)
         self.database = database
+        self.plan_cache = plan_cache
         #: Optional :class:`~repro.telemetry.FlightRecorder`; when set,
         #: every ``execute`` lands a flight record (and failures write a
         #: post-mortem bundle) under a per-query correlation id.
         self.recorder = recorder
-        #: The engine alias as given (``None`` for Engine instances) —
-        #: what post-mortem replay recipes record.
-        self.engine_alias = engine if isinstance(engine, str) else None
-        self._fault_plan = fault_plan
-        self._retry_policy = retry_policy
         #: Optional :class:`~repro.telemetry.MetricsRegistry`; when set,
         #: every ``execute`` observes the session query-latency
         #: histogram and bumps ``repro_queries_total`` (the same metric
         #: names a :class:`~repro.serving.Server` exposes).
         self.metrics = metrics
-        if isinstance(device, str):
-            device = get_profile(device)
-        if isinstance(device, DeviceProfile):
-            device = VirtualCoprocessor(device, interconnect=interconnect)
-        self.device = device
-        #: Wire-compression policy (``None`` = off): base columns cross
-        #: the simulated link compressed, decode kernels run on device,
-        #: and results carry ``result.compression`` accounting.
-        self.compression = resolve_compression(compression)
-        self.device.compression = self.compression
-        self.devices = devices
-        self.partitioning = partitioning
-        self.auto = None
-        self.engine = None
-        if auto_engine or auto_devices:
-            from .errors import ConfigurationError
-            from .optimizer import AutoExecutor
+        self.device = self.executor.device
+        #: The pinned engine (``None`` when the optimizer picks).
+        self.engine = self.executor.engine
+        #: The scale-out executor when queries run on a fleet.
+        self.scaleout = self.executor.scaleout
+        #: The device's buffer pool when ``residency=True`` on one device.
+        self.pool = self.executor.pool
 
-            if not auto_engine and not isinstance(engine, str):
-                raise ConfigurationError(
-                    "devices='auto' needs an engine alias (or 'auto'), "
-                    "not an Engine instance; known engines: "
-                    + ", ".join(sorted(ENGINE_FACTORIES))
-                )
-            if not auto_engine:
-                make_engine(engine)  # validate the alias early
-            self.auto = AutoExecutor(
-                self.device.profile,
-                interconnect=interconnect,
-                engine=None if auto_engine else engine,
-                devices=None if auto_devices else devices,
-                partitioning=partitioning,
-                placement="pooled" if residency else None,
-                compression=self.compression,
-            )
-            self.plan_cache = plan_cache
-            self.pool = None
-            self.scaleout = None
-            return
-        self.engine = make_engine(engine) if isinstance(engine, str) else engine
-        self.plan_cache = plan_cache
-        self.pool = None
-        self.scaleout = None
-        if devices > 1 or fault_plan is not None:
-            from .scaleout import ScaleOutExecutor
-
-            self.scaleout = ScaleOutExecutor(
-                devices,
-                profile=self.device.profile,
-                interconnect=interconnect,
-                partitioning=partitioning,
-                residency=residency,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                compression=self.compression,
-            )
-        elif residency:
-            if self.device.placement_pool is not None:
-                self.pool = self.device.placement_pool
-            else:
-                from .placement import BufferPool
-
-                self.pool = BufferPool(self.device)
+    @property
+    def auto(self):
+        """The adaptive executor (``engine``/``devices="auto"``, or once
+        a per-query ``engine="auto"`` override ran), else ``None``."""
+        return self.executor.auto
 
     # ------------------------------------------------------------------
     def plan(self, query: str | LogicalPlan) -> LogicalPlan:
@@ -224,29 +167,10 @@ class Session:
         """The extracted pipelines, via the plan cache when one is set."""
         if self.plan_cache is not None:
             physical, _hit = self.plan_cache.lookup(
-                query, self.database, self._strategy_token(self.engine)
+                query, self.database, self.executor.strategy_token()
             )
             return physical
         return extract_pipelines(self.plan(query), self.database)
-
-    def _strategy_token(self, chosen: "Engine | None") -> tuple | None:
-        """Hashable execution-strategy identity for plan-cache keying.
-
-        Pinned configurations all share ``None``: the physical plan is
-        engine-independent, so a plan compiled for one pinned engine is
-        reusable by every other.  Auto sessions get a distinct token so
-        their entries (which carry a recorded optimizer strategy) never
-        collide with pinned ones or with differently-pinned auto
-        lattices."""
-        if chosen is None and self.auto is not None:
-            return (
-                "auto",
-                self.auto.pinned_engine,
-                self.auto.pinned_devices,
-                self.auto.partitioning,
-                self.auto.pinned_placement,
-            )
-        return None
 
     def explain(
         self,
@@ -273,8 +197,8 @@ class Session:
 
             return explain_analyze(self, query, engine=engine, seed=seed)
         description = self.physical(query).describe()
-        if self.auto is not None and engine is None:
-            decision = self.auto.advise(self.physical(query), self.database)
+        if self.config.auto and engine is None:
+            decision = self.optimizer_decision(query)
             return f"{description}\n\noptimizer:\n{decision.render()}"
         return description
 
@@ -290,57 +214,19 @@ class Session:
         result carries the full span tree on ``result.trace``,
         including the front-end ``plan`` span.
         """
-        chosen = self.engine
-        if engine is not None:
-            if isinstance(engine, str) and engine == "auto":
-                chosen = None  # route through the adaptive optimizer
-            else:
-                chosen = make_engine(engine) if isinstance(engine, str) else engine
         started = time.perf_counter()
-        recorder = self.recorder
-        flight = None
-        if recorder is not None:
-            alias = self.engine_alias
-            if engine is not None and isinstance(engine, str):
-                alias = engine
-            flight = recorder.start(
-                query,
-                seed=seed,
-                engine=alias,
-                device=self.device.profile.name,
-                devices=self.devices,
-                partitioning=self.partitioning,
-            )
-            flight.note(seed=seed)
-        # A correlation id whenever anything is listening: the flight's
-        # when the recorder is on, a fresh one when only a bare event
-        # log is installed.
-        query_id = flight.query_id if flight is not None else (
-            new_query_id() if installed_log() is not None else None
+        result = run_query(
+            self.executor,
+            query,
+            self.database,
+            seed=seed,
+            engine=resolve_engine_override(engine),
+            plan_cache=self.plan_cache,
+            recorder=self.recorder,
+            metrics=self.metrics,
         )
-        tracer = Tracer(api="session") if tracing_enabled() else None
-        if tracer is not None and query_id is not None:
-            tracer.root.attrs["query_id"] = query_id
-        activation = tracer.activate() if tracer else contextlib.nullcontext()
-        scope = query_scope(query_id)
-        try:
-            with scope, activation:
-                result = self._execute_inner(chosen, query, seed, tracer)
-        except BaseException as error:
-            if recorder is not None:
-                recorder.fail(
-                    flight,
-                    error,
-                    trace=tracer.finish() if tracer is not None else None,
-                    fault_plan=self._fault_plan,
-                    retry_policy=self._retry_policy,
-                )
-            raise
-        if tracer is not None:
-            result.trace = tracer.finish()
-        if recorder is not None:
-            recorder.complete(flight, result)
         if self.metrics is not None:
+            self.executor.observe_metrics(self.metrics)
             self.metrics.histogram(
                 "repro_query_latency_ms",
                 "End-to-end query latency (host wall clock, ms)",
@@ -348,151 +234,19 @@ class Session:
             self.metrics.counter(
                 "repro_queries_total", "Queries executed", status="completed"
             ).inc()
-            if result.compression is not None:
-                from .compression import observe_compression_metrics
-
-                observe_compression_metrics(self.metrics, result.compression)
         return result
-
-    def _execute_inner(
-        self, chosen: "Engine | None", query, seed: int, tracer: "Tracer | None"
-    ) -> ExecutionResult:
-        if self.plan_cache is None:
-            if tracer is None:
-                plan = self.plan(query)
-            else:
-                with tracer.span("plan", "plan") as span:
-                    plan = self.plan(query)
-                    span.attrs["cache_hit"] = False
-            record_event("query.planned", cache_hit=False)
-            result = self._run(chosen, plan, seed)
-            record_event("query.executed", status="ok")
-            return result
-
-        from .serving.stats import ServingStats
-
-        token = self._strategy_token(chosen)
-        plan_start = time.perf_counter()
-        if tracer is None:
-            physical, hit = self.plan_cache.lookup(query, self.database, token)
-        else:
-            with tracer.span("plan", "plan") as span:
-                physical, hit = self.plan_cache.lookup(
-                    query, self.database, token
-                )
-                span.attrs["cache_hit"] = hit
-        plan_ms = (time.perf_counter() - plan_start) * 1e3
-        record_event("query.planned", cache_hit=hit, plan_ms=round(plan_ms, 3))
-        begin_thread_compile_stats()
-        execute_start = time.perf_counter()
-        result = self._run(chosen, physical, seed)
-        execute_ms = (time.perf_counter() - execute_start) * 1e3
-        record_event(
-            "query.executed", status="ok", execute_ms=round(execute_ms, 3)
-        )
-        compile_hits, compile_misses, compile_ms = thread_compile_stats()
-        result.serving = ServingStats(
-            plan_cache_hit=hit,
-            compile_hits=compile_hits,
-            compile_misses=compile_misses,
-            queue_wait_ms=0.0,
-            plan_ms=plan_ms,
-            compile_ms=compile_ms,
-            execute_ms=execute_ms,
-            worker=-1,
-        )
-        if isinstance(query, str) and result.optimizer is not None:
-            self.plan_cache.record_strategy(
-                query, self.database, token, result.optimizer.chosen
-            )
-        return result
-
-    def _auto_executor(self):
-        """The session's adaptive executor, created on demand for
-        per-query ``engine="auto"`` overrides on pinned sessions."""
-        if self.auto is None:
-            from .optimizer import AutoExecutor
-
-            self.auto = AutoExecutor(
-                self.device.profile,
-                interconnect=self.device.interconnect,
-                partitioning=self.partitioning,
-                compression=self.compression,
-            )
-        return self.auto
-
-    def _run(self, chosen: "Engine | None", plan, seed: int) -> ExecutionResult:
-        if chosen is None:
-            auto = self._auto_executor()
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
-            )
-            result = auto.execute(physical, self.database, seed=seed)
-            if self.metrics is not None:
-                auto.observe_metrics(self.metrics)
-            return result
-        if self.scaleout is not None:
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
-            )
-            result = self.scaleout.execute(chosen, physical, self.database, seed=seed)
-            if self.metrics is not None:
-                self.scaleout.observe_metrics(self.metrics)
-            return result
-        if self.pool is not None:
-            from .placement import execute_with_placement
-
-            physical = (
-                plan
-                if not isinstance(plan, LogicalPlan)
-                else extract_pipelines(plan, self.database)
-            )
-            return execute_with_placement(
-                chosen, physical, self.database, self.device, seed=seed
-            )
-        return chosen.execute(plan, self.database, self.device, seed=seed)
 
     def placement_stats(self):
-        """Residency counters (``None`` unless ``residency=True``).
+        """Residency counters (``None`` unless something is pooled).
 
         Scale-out sessions aggregate across the fleet's per-device
         pools; auto sessions report the adaptive executor's pool."""
-        if self.auto is not None:
-            return self.auto.placement_stats()
-        if self.scaleout is not None:
-            return self.scaleout.placement_stats()
-        return self.pool.stats() if self.pool is not None else None
+        return self.executor.placement_stats()
 
     def optimizer_decision(self, query: str | LogicalPlan):
         """Advise (without executing) on an auto session: the ranked
         strategy breakdown the optimizer would use for ``query``."""
-        auto = self._auto_executor()
-        return auto.advise(self.physical(query), self.database)
-
-
-def _coerce_fault_plan(fault_plan):
-    """Accept a :class:`~repro.faults.FaultPlan`, a plan ``dict``, or a
-    path to a plan JSON file (how the CLI passes ``--fault-plan``)."""
-    if fault_plan is None:
-        return None
-    from .faults import FaultPlan
-
-    if isinstance(fault_plan, FaultPlan):
-        return fault_plan
-    if isinstance(fault_plan, dict):
-        return FaultPlan.from_dict(fault_plan)
-    if isinstance(fault_plan, str):
-        return FaultPlan.load(fault_plan)
-    from .errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"fault_plan must be a FaultPlan, a plan dict, or a JSON path, "
-        f"got {fault_plan!r}"
-    )
+        return self.executor.adaptive().advise(self.physical(query), self.database)
 
 
 def connect(

@@ -51,6 +51,7 @@ from .analysis import format_table
 from .api import ENGINE_FACTORIES, Session
 from .errors import ConfigurationError, ReproError
 from .engines import CompoundEngine, MultiPassEngine, OperatorAtATimeEngine
+from .execution import ExecutionConfig
 from .hardware import list_profiles
 from .storage import load_database, save_database
 from .workloads import SSB_QUERIES, TPCH_PLANS, generate_ssb, generate_tpch, ssb_plan, tpch_plan
@@ -62,15 +63,13 @@ def _engine_choices() -> list:
 
 
 def _devices_arg(value: str):
-    """``--devices`` accepts an integer or ``auto``."""
-    if value == "auto":
-        return "auto"
+    """``--devices``: integers convert; any other text is left to
+    :class:`~repro.execution.ExecutionConfig`, which accepts ``auto``
+    and rejects the rest with the same message as the library."""
     try:
         return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1 or 'auto', got {value!r}"
-        ) from None
+        return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,6 +433,23 @@ def _fault_kwargs(args) -> dict:
     return kwargs
 
 
+def _config(args, **overrides) -> ExecutionConfig:
+    """The subcommand's validated execution configuration (checked
+    before any database is generated)."""
+    values = {
+        "device": args.device,
+        "engine": args.engine,
+        "devices": args.devices,
+        "partitioning": args.partitioning,
+        **_fault_kwargs(args),
+    }
+    for name in ("residency", "compression"):
+        if hasattr(args, name):
+            values[name] = getattr(args, name)
+    values.update(overrides)
+    return ExecutionConfig(**values)
+
+
 def _database(args):
     if getattr(args, "data_dir", None):
         return load_database(args.data_dir)
@@ -464,18 +480,9 @@ def _cmd_devices(_args) -> int:
 
 
 def _cmd_query(args) -> int:
+    config = _config(args)
     recorder = _recorder(args, _database_recipe(args))
-    session = Session(
-        _database(args),
-        device=args.device,
-        engine=args.engine,
-        residency=args.residency,
-        devices=args.devices,
-        partitioning=args.partitioning,
-        recorder=recorder,
-        compression=args.compression,
-        **_fault_kwargs(args),
-    )
+    session = Session(_database(args), recorder=recorder, **config.kwargs())
     try:
         if args.trace_out:
             from .telemetry import tracing
@@ -521,21 +528,19 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    session = Session(
-        _database(args),
-        device=args.device,
-        engine=args.engine,
-        residency=args.residency,
-        devices=args.devices,
-        partitioning=args.partitioning,
-        compression=args.compression,
-        **_fault_kwargs(args),
-    )
+    config = _config(args)
+    session = Session(_database(args), **config.kwargs())
     print(session.explain(args.sql, analyze=args.analyze))
     return 0
 
 
 def _cmd_bench(args) -> int:
+    engines = (
+        ("Operator-at-a-time", OperatorAtATimeEngine()),
+        ("HorseQC: Multi-pass", MultiPassEngine()),
+        ("HorseQC: Fully pipelined", CompoundEngine("lrgp_simd")),
+    )
+    configs = [(label, _config(args, engine=engine)) for label, engine in engines]
     database = _database(args)
     if args.workload == "tpch":
         plan = tpch_plan(args.query, database)
@@ -543,21 +548,8 @@ def _cmd_bench(args) -> int:
         plan = ssb_plan(args.query, database)
     rows = []
     pcie = membound = 0.0
-    for label, engine in (
-        ("Operator-at-a-time", OperatorAtATimeEngine()),
-        ("HorseQC: Multi-pass", MultiPassEngine()),
-        ("HorseQC: Fully pipelined", CompoundEngine("lrgp_simd")),
-    ):
-        session = Session(
-            database,
-            device=args.device,
-            engine=engine,
-            devices=args.devices,
-            partitioning=args.partitioning,
-            compression=args.compression,
-            **_fault_kwargs(args),
-        )
-        result = session.execute(plan)
+    for label, config in configs:
+        result = Session(database, **config.kwargs()).execute(plan)
         rows.append(
             [
                 label,
@@ -632,6 +624,7 @@ def _cmd_serve_bench(args) -> int:
             int(part) for part in args.workers.split(",") if part.strip()
         )
         repeats, passes = args.repeats, args.passes
+    config = _config(args, residency=True)
     recorder = _recorder(
         args, {"workload": "ssb", "scale_factor": scale_factor, "seed": 7}
     )
@@ -641,12 +634,13 @@ def _cmd_serve_bench(args) -> int:
             worker_counts=worker_counts,
             repeats=repeats,
             passes=passes,
-            device=args.device,
-            engine=args.engine,
-            devices=args.devices,
-            partitioning=args.partitioning,
+            device=config.device,
+            engine=config.engine,
+            devices=config.devices,
+            partitioning=config.partitioning,
+            fault_plan=config.fault_plan,
+            retry_policy=config.retry_policy,
             recorder=recorder,
-            **_fault_kwargs(args),
         )
     finally:
         _finish_recorder(recorder, args)

@@ -51,8 +51,9 @@ class ExecutionResult:
     trace: object | None = None
     #: Fleet accounting (:class:`repro.scaleout.ScaleOutStats`) when
     #: the query ran through the scale-out executor, else ``None``.
-    #: For scale-out results ``total_ms`` is the *serial* sum of all
-    #: device work; ``scaleout.makespan_ms`` is the parallel time.
+    #: On a fleet ``total_ms`` stays the *serial* sum of all device
+    #: work and ``scaleout.makespan_ms`` is the parallel time; read
+    #: :attr:`latency_ms` for the simulated critical path either way.
     scaleout: object | None = None
     #: Strategy decision (:class:`repro.optimizer.OptimizerDecision`)
     #: when the adaptive optimizer picked the execution strategy
@@ -86,6 +87,17 @@ class ExecutionResult:
     def total_ms(self) -> float:
         """End-to-end simulated time (transfers + kernels, serialized)."""
         return self.profile.total_time_ms
+
+    @property
+    def latency_ms(self) -> float:
+        """Simulated critical path: ``total_ms`` on one device, the
+        fleet's ``scaleout.makespan_ms`` on a scale-out run.
+
+        The host-side merge (``scaleout.merge_ms``) is host wall clock
+        and deliberately left out, so this number repeats exactly."""
+        if self.scaleout is not None:
+            return self.scaleout.makespan_ms
+        return self.total_ms
 
     @property
     def global_memory_bytes(self) -> int:

@@ -99,10 +99,6 @@ class RecoveryStats:
     host_fallback: bool = False
 
     @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    @property
     def faulted(self) -> bool:
         """Did this query see any fault or recovery action at all?"""
         return bool(
@@ -113,9 +109,6 @@ class RecoveryStats:
             or self.timeouts
             or self.host_fallback
         )
-
-    def record_injected(self, kind: str, count: int = 1) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + count
 
     def summary(self) -> str:
         if not self.faulted:

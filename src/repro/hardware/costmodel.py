@@ -137,10 +137,6 @@ class KernelCostModel:
             barriers=meter.barriers * profile.barrier_overhead,
         )
 
-    def kernel_time(self, meter: TrafficMeter) -> float:
-        """Simulated seconds for one kernel launch."""
-        return self.breakdown(meter).total
-
     def memory_bound_time(self, nbytes: int) -> float:
         """Lower bound: streaming ``nbytes`` through global memory.
 

@@ -133,9 +133,6 @@ class VirtualCoprocessor:
         self._live_buffers[id(buffer)] = buffer
         return buffer
 
-    def allocate_empty(self, shape, dtype, label: str = "") -> DeviceBuffer:
-        return self.allocate(np.empty(shape, dtype=dtype), label=label)
-
     def free(self, buffer: DeviceBuffer) -> None:
         if buffer.freed:
             raise AllocationError(f"double free of device buffer {buffer.label!r}")

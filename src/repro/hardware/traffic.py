@@ -234,12 +234,6 @@ class Profile:
     def bytes_at(self, level: MemoryLevel) -> int:
         return sum(trace.meter.bytes_at(level) for trace in self.kernels)
 
-    def reads_at(self, level: MemoryLevel) -> int:
-        return sum(trace.meter.reads[level] for trace in self.kernels)
-
-    def writes_at(self, level: MemoryLevel) -> int:
-        return sum(trace.meter.writes[level] for trace in self.kernels)
-
     @property
     def atomic_count(self) -> int:
         return sum(trace.meter.atomic_count for trace in self.kernels)

@@ -34,7 +34,7 @@ import threading
 from ..compression import resolve_compression
 from ..engines import make_engine
 from ..engines.base import Engine, ExecutionResult
-from ..errors import ConfigurationError, DeviceMemoryError
+from ..errors import DeviceMemoryError
 from ..hardware.device import VirtualCoprocessor
 from ..hardware.interconnect import PCIE3, Interconnect
 from ..hardware.profiles import DeviceProfile
@@ -45,9 +45,6 @@ from .advisor import Advisor, OptimizerDecision
 from .calibrate import Calibrator
 from .cost import StrategyChoice, streamable_mode
 from .stats import StatisticsCatalog
-
-#: Sentinel accepted by ``Session(engine=...)`` / ``devices=...``.
-AUTO = "auto"
 
 
 class AutoExecutor:
@@ -209,9 +206,7 @@ class AutoExecutor:
             predicted_ms=round(decision.predicted_ms, 6),
         )
         result = self._dispatch(strategy, query, database, seed, decision)
-        observed_ms = result.total_ms
-        if result.scaleout is not None:
-            observed_ms = result.scaleout.makespan_ms + result.scaleout.merge_ms
+        observed_ms = result.latency_ms
         decision.observed_ms = observed_ms
         decision.observed_pcie_bytes = result.input_bytes + result.output_bytes
         self.calibrator.observe(
@@ -292,10 +287,6 @@ class AutoExecutor:
             )
 
     # ------------------------------------------------------------------
-    def last_decision(self) -> OptimizerDecision | None:
-        with self._lock:
-            return self._last_decision
-
     def observe_metrics(self, metrics, **labels) -> None:
         """Export ``repro_optimizer_*`` metrics into ``metrics``."""
         with self._lock:
@@ -356,27 +347,3 @@ class AutoExecutor:
         if device is not None and device.placement_pool is not None:
             return device.placement_pool.stats()
         return None
-
-
-def resolve_auto(value, kind: str):
-    """Validate an ``engine``/``devices`` value that may be ``"auto"``.
-
-    Returns ``None`` when the dimension should be decided by the
-    advisor, else the pinned value.  Raises
-    :class:`~repro.errors.ConfigurationError` naming the valid choices
-    (mirroring :func:`repro.engines.make_engine` and
-    :func:`repro.scaleout.validate_devices`).
-    """
-    if kind == "engine":
-        if value == AUTO:
-            return None
-        return value
-    if kind == "devices":
-        if value == AUTO:
-            return None
-        if isinstance(value, str):
-            raise ConfigurationError(
-                f"devices must be an integer >= 1 or 'auto', got {value!r}"
-            )
-        return value
-    raise ConfigurationError(f"unknown auto dimension {kind!r}")

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..errors import PlanError
 from ..expressions.expr import (
     Between,
     BinaryOp,
@@ -923,13 +922,3 @@ def streamable_mode(engine: str) -> str:
     ``engine`` (compound aliases map to themselves; pass-based engines
     stream through the default resolution mode)."""
     return STREAMABLE_ENGINES.get(engine, "lrgp_simd")
-
-
-def raise_if_unstreamable(query: PhysicalQuery) -> None:
-    """Mirror of the batch executor's plan checks (see
-    :mod:`repro.macro.batch`)."""
-    final = query.final_pipeline
-    if final.source_is_virtual:
-        raise PlanError(
-            "batch streaming requires the final pipeline to scan a base table"
-        )

@@ -54,6 +54,7 @@ from .recorder import (
     FlightRecorder,
     ReplayReport,
     replay_bundle,
+    result_fingerprint,
     table_checksum,
     write_postmortem_bundle,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "render_explain_analyze",
     "render_prometheus",
     "replay_bundle",
+    "result_fingerprint",
     "table_checksum",
     "tracing",
     "tracing_enabled",

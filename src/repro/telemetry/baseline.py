@@ -88,25 +88,20 @@ def measure_fingerprint(
     compression-aware transfer path: ``pcie_bytes`` then counts wire
     (compressed) bytes and ``kernel_launches`` includes the decode
     kernels, so codec or chooser drift is caught exactly."""
-    from ..compression import resolve_compression
-    from ..engines import make_engine
-    from ..hardware.device import VirtualCoprocessor
+    from ..execution import ExecutionConfig, resolve_executor
     from ..workloads import ssb_plan, tpch_plan
+    from .recorder import result_fingerprint
 
     plan = (
         tpch_plan(name, database) if workload == "tpch" else ssb_plan(name, database)
     )
-    device = VirtualCoprocessor(profile)
-    device.compression = resolve_compression(compression)
-    result = make_engine(engine_name).execute(plan, database, device, seed=seed)
+    executor = resolve_executor(
+        ExecutionConfig(device=profile, engine=engine_name, compression=compression)
+    )
+    result = executor.execute(plan, database, seed=seed)
     return {
-        "sim_ms": round(result.total_ms, 6),
-        "kernel_ms": round(result.kernel_ms, 6),
-        "pcie_bytes": int(result.input_bytes + result.output_bytes),
-        "global_bytes": int(result.global_memory_bytes),
-        "kernel_launches": len(result.profile.kernels),
-        "peak_alloc_bytes": int(device.peak_allocated),
-        "rows": int(result.table.num_rows),
+        **result_fingerprint(result),
+        "peak_alloc_bytes": int(executor.device.peak_allocated),
     }
 
 

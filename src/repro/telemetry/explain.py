@@ -92,9 +92,13 @@ def _totals(result, pipelines) -> str:
         f"pcie in/out {result.input_bytes / 1e3:.1f}/"
         f"{result.output_bytes / 1e3:.1f} KB  "
         f"kernels {len(result.profile.kernels)}  "
-        f"simulated {result.total_ms:.4f} ms "
-        f"(kernels {result.kernel_ms:.4f} + transfers {result.transfer_ms:.4f})"
+        f"simulated {result.latency_ms:.4f} ms "
     )
+    if result.scaleout is not None:
+        line += f"makespan (serial {result.total_ms:.4f} ms: "
+    else:
+        line += "("
+    line += f"kernels {result.kernel_ms:.4f} + transfers {result.transfer_ms:.4f})"
     if pipelines and pipeline_global != total_global:
         # Kernels launched outside the pipeline loop would break the
         # reconciliation the docs promise; surface it rather than hide it.

@@ -49,6 +49,7 @@ __all__ = [
     "FlightRecorder",
     "ReplayReport",
     "replay_bundle",
+    "result_fingerprint",
     "table_checksum",
     "write_postmortem_bundle",
 ]
@@ -79,6 +80,22 @@ def table_checksum(table) -> dict:
 def plan_fingerprint(physical) -> str:
     """Stable digest of a physical plan's pipeline decomposition."""
     return hashlib.sha256(physical.describe().encode()).hexdigest()[:16]
+
+
+def result_fingerprint(result) -> dict:
+    """A result's deterministic simulated-plane numbers: the one
+    definition the flight recorder and the baseline sentinel share.
+
+    ``sim_ms`` is ``result.latency_ms`` (the simulated critical path:
+    ``total_ms`` on one device, the makespan on a fleet)."""
+    return {
+        "sim_ms": round(result.latency_ms, 6),
+        "kernel_ms": round(result.kernel_ms, 6),
+        "pcie_bytes": int(result.input_bytes + result.output_bytes),
+        "global_bytes": int(result.global_memory_bytes),
+        "kernel_launches": len(result.profile.kernels),
+        "rows": int(result.table.num_rows),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -358,35 +375,28 @@ class FlightRecorder:
         return path
 
     def _replay_recipe(self, record: FlightRecord, retry_policy=None) -> dict:
+        """The flight's :meth:`ExecutionConfig.to_dict` fields plus the
+        SQL, seed and database recipe."""
+        from dataclasses import asdict, fields
+
+        from ..execution import ExecutionConfig
+
         recipe: dict = {"sql": record.sql, "seed": record.strategy.get("seed", 42)}
         if self.database_recipe:
             recipe["database"] = dict(self.database_recipe)
-        for key in ("engine", "device", "devices", "partitioning"):
-            if key in record.strategy:
-                recipe[key] = record.strategy[key]
+        for config_field in fields(ExecutionConfig):
+            if config_field.name in record.strategy:
+                recipe[config_field.name] = record.strategy[config_field.name]
         if retry_policy is not None:
-            recipe["retry_policy"] = {
-                "max_retries": retry_policy.max_retries,
-                "backoff_base_ms": retry_policy.backoff_base_ms,
-                "backoff_cap_ms": retry_policy.backoff_cap_ms,
-                "morsel_timeout_ms": retry_policy.morsel_timeout_ms,
-            }
+            recipe["retry_policy"] = asdict(retry_policy)
         return recipe
 
 
 def _result_metrics(result) -> dict:
-    metrics = {
-        "sim_ms": round(result.total_ms, 6),
-        "kernel_ms": round(result.kernel_ms, 6),
-        "pcie_bytes": int(result.input_bytes + result.output_bytes),
-        "global_bytes": int(result.global_memory_bytes),
-        "kernel_launches": len(result.profile.kernels),
-        "rows": int(result.table.num_rows),
-    }
+    metrics = result_fingerprint(result)
     if result.serving is not None:
         metrics["plan_cache_hit"] = bool(result.serving.plan_cache_hit)
     if result.scaleout is not None:
-        metrics["makespan_ms"] = round(result.scaleout.makespan_ms, 6)
         recovery = result.scaleout.recovery
         if recovery is not None and recovery.faulted:
             metrics["recovery"] = {
@@ -526,24 +536,17 @@ def replay_bundle(
             "cannot be replayed from a bundle)"
         )
     database = _replay_database(replay, data_dir)
-    fault_path = os.path.join(bundle, "fault_plan.json")
-    fault_plan = fault_path if os.path.exists(fault_path) else None
-    retry_policy = None
-    if replay.get("retry_policy"):
-        from ..faults import RetryPolicy
-
-        retry_policy = RetryPolicy(**replay["retry_policy"])
     from ..api import Session
+    from ..execution import ExecutionConfig
 
-    session = Session(
-        database,
-        device=device if device is not None else replay.get("device", "gtx970"),
-        engine=replay.get("engine", "resolution"),
-        devices=replay.get("devices", 1),
-        partitioning=replay.get("partitioning", "range"),
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
-    )
+    recipe = dict(replay)
+    if device is not None:
+        recipe["device"] = device
+    fault_path = os.path.join(bundle, "fault_plan.json")
+    if os.path.exists(fault_path):
+        recipe["fault_plan"] = fault_path
+    config = ExecutionConfig.from_dict(recipe)
+    session = Session(database, **config.kwargs())
     expected_status = expected.get("status", "ok")
     details: list[str] = []
     try:

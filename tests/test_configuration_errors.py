@@ -66,3 +66,40 @@ class TestCliConfigurationError:
         assert "error:" in captured.err
         assert "unknown device" in captured.err
         assert "gtx970" in captured.err
+
+
+class TestOneConfigurationPath:
+    """Session, Server and the CLI validate through the same
+    ExecutionConfig, so an invalid configuration raises the same
+    message from each."""
+
+    SQL = "select count(*) as n from date"
+
+    @pytest.fixture
+    def plan_path(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"specs": []}')
+        return str(path)
+
+    def _cases(self, plan_path):
+        engine = make_engine("resolution")
+        return [
+            # (library kwargs, CLI argv)
+            ({"devices": "many"},
+             ["query", self.SQL, "--devices", "many"]),
+            ({"engine": "auto", "fault_plan": plan_path},
+             ["query", self.SQL, "--engine", "auto", "--fault-plan", plan_path]),
+            ({"engine": engine, "devices": "auto"},
+             ["bench", "q1.1", "--devices", "auto"]),
+        ]
+
+    def test_same_message_everywhere(self, tiny_db, plan_path, capsys):
+        for kwargs, argv in self._cases(plan_path):
+            with pytest.raises(ConfigurationError) as from_session:
+                Session(tiny_db, **kwargs)
+            with pytest.raises(ConfigurationError) as from_server:
+                Server(tiny_db, workers=1, **kwargs)
+            message = str(from_session.value)
+            assert str(from_server.value) == message
+            assert main(argv + ["--scale-factor", "0.001"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"

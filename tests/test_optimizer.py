@@ -401,7 +401,7 @@ def test_plan_cache_separates_auto_from_pinned(ssb_db):
     result = auto.execute(sql)
     stats = cache.stats()
     assert (stats.hits, stats.misses) == (2, 2)
-    token = auto._strategy_token(None)
+    token = auto.executor.strategy_token()
     recorded = cache.recorded_strategy(sql, ssb_db, token)
     assert recorded == result.optimizer.chosen
 
