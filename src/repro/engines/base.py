@@ -14,7 +14,7 @@ from ..plan.physical import PhysicalQuery, Pipeline
 from ..plan.pipelines import extract_pipelines
 from ..storage.database import Database
 from ..storage.table import Table
-from ..telemetry.trace import Tracer, active_tracer, tracing_enabled
+from ..telemetry.trace import Span, Tracer, active_tracer, tracing_enabled
 from .runtime import QueryRuntime
 
 
@@ -206,15 +206,17 @@ class Engine:
             runtime = QueryRuntime(device, database, seed=seed, pool=pool)
             try:
                 outputs: dict[str, np.ndarray] | None = None
+                pipeline_span = final_span = None
                 for index, pipeline in enumerate(query.pipelines):
                     if tracer is None:
                         produced = self.execute_pipeline(pipeline, runtime)
                     else:
-                        produced = self._execute_pipeline_traced(
+                        produced, pipeline_span = self._execute_pipeline_traced(
                             index, pipeline, runtime, tracer
                         )
                     if pipeline.is_final:
                         outputs = produced
+                        final_span = pipeline_span
                     elif pipeline.output_schema is not None:
                         assert produced is not None
                         runtime.register_virtual(
@@ -227,7 +229,9 @@ class Engine:
                     table = runtime.finalize(query, outputs)
                 else:
                     with tracer.span("finalize", "finalize") as span:
-                        table = runtime.finalize(query, outputs)
+                        # Result encode kernels: the final pipeline's epilogue.
+                        with charged_to(final_span, device, kernels_only=True):
+                            table = runtime.finalize(query, outputs)
                         span.attrs.update(
                             rows=table.num_rows,
                             output_bytes=runtime.output_bytes,
@@ -261,15 +265,13 @@ class Engine:
 
     def _execute_pipeline_traced(
         self, index: int, pipeline: Pipeline, runtime: QueryRuntime, tracer: Tracer
-    ) -> dict[str, np.ndarray] | None:
+    ) -> tuple[dict[str, np.ndarray] | None, Span]:
         """Run one pipeline inside a span carrying the per-pipeline
         accounting EXPLAIN ANALYZE renders: rows in/out, kernels
-        launched, per-level byte volumes (sliced exactly from the
-        device profile, so pipeline sums always reconcile with
-        ``Profile.bytes_at``), PCIe bytes, and simulated ms."""
+        launched, per-level byte volumes (see :func:`charged_to`), PCIe
+        bytes, and simulated ms.  Returns the pipeline's output arrays
+        and its span."""
         device = runtime.device
-        kernel_mark = len(device.log.kernels)
-        transfer_mark = len(device.log.transfers)
         with tracer.span(
             f"pipeline[{index}]",
             "pipeline",
@@ -277,25 +279,13 @@ class Engine:
             source=pipeline.source,
             sink=pipeline.output_name,
         ) as span:
-            produced = self.execute_pipeline(pipeline, runtime)
-            kernels = device.log.kernels[kernel_mark:]
-            transfers = device.log.transfers[transfer_mark:]
-            span.attrs.update(
-                rows_in=_source_rows(pipeline, runtime),
-                rows_out=_produced_rows(pipeline, produced, runtime),
-                kernels=len(kernels),
-                global_bytes=sum(
-                    trace.meter.bytes_at(MemoryLevel.GLOBAL) for trace in kernels
-                ),
-                onchip_bytes=sum(
-                    trace.meter.bytes_at(MemoryLevel.ONCHIP) for trace in kernels
-                ),
-                atomics=sum(trace.meter.atomic_count for trace in kernels),
-                pcie_bytes=sum(record.nbytes for record in transfers),
-                sim_ms=sum(trace.time_ms for trace in kernels)
-                + sum(record.time_ms for record in transfers),
-            )
-        return produced
+            with charged_to(span, device):
+                produced = self.execute_pipeline(pipeline, runtime)
+                span.attrs.update(
+                    rows_in=_source_rows(pipeline, runtime),
+                    rows_out=_produced_rows(pipeline, produced, runtime),
+                )
+        return produced, span
 
     # ------------------------------------------------------------------
     def execute_pipeline(
@@ -304,6 +294,41 @@ class Engine:
         """Run one pipeline; returns output arrays for result/virtual
         sinks, None for hash-table builds."""
         raise NotImplementedError
+
+
+@contextlib.contextmanager
+def charged_to(span: Span | None, device: VirtualCoprocessor, kernels_only: bool = False):
+    """Add the device work launched inside the block to a pipeline
+    span: kernels, per-level bytes, atomics, PCIe bytes and simulated
+    ms.  The counts are sliced exactly from the device profile, so
+    pipeline sums reconcile with ``Profile.bytes_at``.
+
+    A pipeline's epilogue — the encode kernels that pack its output for
+    the d2h link — runs after its span closed and is charged to it with
+    ``kernels_only``; the d2h transfers stay with the phase that issues
+    them (``finalize``, the scale-out gather).  ``span=None`` (tracing
+    off) charges nothing."""
+    if span is None:
+        yield
+        return
+    kernel_mark = len(device.log.kernels)
+    transfer_mark = len(device.log.transfers)
+    yield
+    kernels = device.log.kernels[kernel_mark:]
+    transfers = [] if kernels_only else device.log.transfers[transfer_mark:]
+    attrs = span.attrs
+    for key, value in (
+        ("kernels", len(kernels)),
+        ("global_bytes", sum(t.meter.bytes_at(MemoryLevel.GLOBAL) for t in kernels)),
+        ("onchip_bytes", sum(t.meter.bytes_at(MemoryLevel.ONCHIP) for t in kernels)),
+        ("atomics", sum(t.meter.atomic_count for t in kernels)),
+        ("pcie_bytes", sum(record.nbytes for record in transfers)),
+        (
+            "sim_ms",
+            sum(t.time_ms for t in kernels) + sum(r.time_ms for r in transfers),
+        ),
+    ):
+        attrs[key] = attrs.get(key, 0) + value
 
 
 def _source_rows(pipeline: Pipeline, runtime: QueryRuntime) -> int:

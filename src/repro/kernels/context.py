@@ -158,7 +158,7 @@ class KernelContext:
         self.meter.record_instructions(self._valid * cost)
         flags = np.broadcast_to(np.asarray(flags, dtype=bool), mask.shape)
         mask = mask & flags
-        self._valid = int(mask.sum())
+        self._valid = int(np.count_nonzero(mask))
         return mask
 
     def filter_stage(self, mask, index, fn, cost, columns):
@@ -239,13 +239,18 @@ class KernelContext:
         alive rows only — dead threads skip the probe.
         """
         entry = self.runtime.hash_table(table_id)
-        alive = np.flatnonzero(mask)
-        rows = np.full(self.n, -1, dtype=np.int64)
+        alive = int(np.count_nonzero(mask))
         if key_cost:
-            self.meter.record_instructions(len(alive) * key_cost)
-        if alive.size:
-            keys = [np.ascontiguousarray(np.broadcast_to(np.asarray(k), mask.shape)[alive]) for k in key_arrays]
-            rows[alive] = entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+            self.meter.record_instructions(alive * key_cost)
+        keys = [np.broadcast_to(np.asarray(k), mask.shape) for k in key_arrays]
+        if alive == self.n:
+            # Every row is alive: probe the key columns as they are.
+            return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+        rows = np.full(self.n, -1, dtype=np.int64)
+        if alive:
+            selected = np.flatnonzero(mask)
+            keys = [k[selected] for k in keys]
+            rows[selected] = entry.table.probe(self.meter, keys, self.profile.l2_capacity)
         return rows
 
     def apply_probe(self, mask: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
@@ -259,7 +264,7 @@ class KernelContext:
             pass  # all probe rows survive
         else:
             raise PlanError(f"unknown join kind {kind!r}")
-        self._valid = int(mask.sum())
+        self._valid = int(np.count_nonzero(mask))
         return mask
 
     def payload(
@@ -281,7 +286,7 @@ class KernelContext:
         except KeyError:
             raise PlanError(f"hash table {table_id!r} has no payload {name!r}") from None
         found = rows >= 0
-        hits = int(found.sum())
+        hits = int(np.count_nonzero(found))
         itemsize = source.dtype.itemsize
         self.meter.record_read(
             MemoryLevel.GLOBAL,
@@ -293,7 +298,8 @@ class KernelContext:
             # masked off downstream (or replaced by the left-join default).
             values = np.zeros(len(rows), dtype=source.dtype)
         else:
-            values = source[np.clip(rows, 0, None)]
+            # Misses (-1) clip to row 0; their values are never used.
+            values = source.take(rows, mode="clip")
         if default is not None:
             fill = np.asarray(default).astype(source.dtype)
             values = np.where(found, values, fill)

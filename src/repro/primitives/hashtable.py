@@ -9,9 +9,24 @@ The table stores *row indices* into the build-side key columns, so
 composite keys are compared exactly (no lossy packing).  Build keys
 must be unique (all joins in the evaluated workloads are PK-FK joins or
 joins against aggregated subplans); duplicate keys raise ``PlanError``.
+
+Host fast path.  The simulated work of a build (insert attempts,
+contention) and of a probe (linear-probe steps) is a pure function of
+the build keys and the probe keys, so the host need not redo it to
+charge it.  A process-wide memo keyed by a digest of the build keys
+keeps the insert outcome of builds seen at least twice, and lazily an
+exact direct-address probe index for single integer keys over a dense
+span.  Every build and probe still charges the meter exactly what the
+insert and probe loops below count; those loops remain the reference
+and serve every table the fast path does not cover.
 """
 
 from __future__ import annotations
+
+import hashlib
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +41,14 @@ _SLOT_BYTES = 4
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer — a strong, cheap 64-bit mixer."""
-    h = values.astype(np.uint64, copy=True)
-    h ^= h >> np.uint64(30)
-    h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(27)
-    h *= np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
+def _splitmix64(h: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer — a strong, cheap 64-bit mixer.  Mixes
+    the uint64 array ``h`` in place and returns it."""
+    shifted = np.empty_like(h)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        h ^= np.right_shift(h, np.uint64(shift), out=shifted)
+        h *= np.uint64(multiplier)
+    h ^= np.right_shift(h, np.uint64(31), out=shifted)
     return h
 
 
@@ -49,9 +64,12 @@ def hash_key_columns(key_arrays: list[np.ndarray]) -> np.ndarray:
     """Combine one or more key columns into 64-bit hashes."""
     if not key_arrays:
         raise PlanError("hash join needs at least one key column")
-    combined = np.zeros(len(key_arrays[0]), dtype=np.uint64)
+    combined = None
     for array in key_arrays:
-        combined = _splitmix64(combined ^ (_key_bits(array) * _GOLDEN))
+        mixed = _key_bits(array) * _GOLDEN
+        if combined is not None:
+            mixed ^= combined
+        combined = _splitmix64(mixed)
     return combined
 
 
@@ -62,6 +80,197 @@ def _next_power_of_two(value: int) -> int:
     return power
 
 
+#: Direct-address probes cover build keys whose span (max - min + 1) is
+#: at most this many table capacities (SSB's yyyymmdd date keys: 2,557
+#: keys over a span of 61,131 in 8,192 slots).
+_SPAN_FACTOR = 8
+
+
+def _exact_int(dtype: np.dtype) -> bool:
+    """Integer keys whose every value is exact in int64."""
+    return dtype.kind == "i" or (dtype.kind == "u" and dtype.itemsize < 8)
+
+
+class _DirectIndex:
+    """Exact probe outcomes for one integer build key column.
+
+    ``packed[key - low]`` holds ``(row + 1) << shift | steps`` for every
+    key of the build span: the build row (-1 for a miss) and the steps
+    the linear probe takes — displacement + 1 for a hit, distance to
+    the first empty slot + 1 for a miss.  One trailing zero entry
+    stands for every key outside the span; ``run[slot]`` (the miss
+    steps from any slot) prices those keys from their home slot.
+    """
+
+    __slots__ = ("low", "span", "shift", "packed", "run")
+
+    def __init__(self, low: int, span: int, shift: int, packed, run):
+        # The offset of a key is computed in wrapping uint64 arithmetic,
+        # so keys below ``low`` land beyond ``span`` as well.
+        self.low = np.uint64(low & 0xFFFFFFFFFFFFFFFF)
+        self.span = np.uint64(span)
+        self.shift = shift
+        self.packed = packed
+        self.run = run
+
+    @property
+    def nbytes(self) -> int:
+        return self.packed.nbytes + self.run.nbytes
+
+    @classmethod
+    def prepare(cls, keys: np.ndarray, slots: np.ndarray, span: int) -> "_DirectIndex | None":
+        """The index for ``keys`` (span ``span``) in ``slots``; ``None``
+        when a packed entry would not fit in int32."""
+        capacity = len(slots)
+        low = int(keys.min())
+        empty = np.flatnonzero(slots < 0)
+        positions = np.arange(capacity, dtype=np.int64)
+        next_empty = empty[np.searchsorted(empty, positions) % empty.size]
+        run = (next_empty - positions) % capacity + 1
+        home = hash_key_columns([np.arange(low, low + span, dtype=np.int64)])
+        home = (home & np.uint64(capacity - 1)).astype(np.int64)
+        steps = np.zeros(span + 1, dtype=np.int64)
+        steps[:span] = run[home]
+        rows = np.full(span + 1, -1, dtype=np.int64)
+        occupied = np.flatnonzero(slots >= 0)
+        built = slots[occupied].astype(np.int64)
+        offset = keys[built].astype(np.int64) - low
+        steps[offset] = (occupied - home[offset]) % capacity + 1
+        rows[offset] = built
+        shift = int(steps.max()).bit_length()
+        if (len(keys) + 1) << shift > np.iinfo(np.int32).max:
+            return None
+        packed = ((rows + 1) << shift | steps).astype(np.int32)
+        run = run.astype(np.int32)
+        packed.flags.writeable = False
+        run.flags.writeable = False
+        return cls(low, span, shift, packed, run)
+
+    def probe(self, keys: np.ndarray, capacity: int) -> tuple[np.ndarray, int]:
+        """Build rows (-1 for misses) and total linear-probe steps."""
+        offset = keys.astype(np.int64).view(np.uint64)
+        offset -= self.low
+        steps = 0
+        if offset.max() >= self.span:
+            # Keys outside the span miss: walk from their home slot.
+            outside = np.flatnonzero(offset >= self.span)
+            home = hash_key_columns([keys[outside]]) & np.uint64(capacity - 1)
+            steps = int(self.run[home.astype(np.int64)].sum(dtype=np.int64))
+            np.minimum(offset, self.span, out=offset)
+        packed = self.packed[offset.view(np.int64)]
+        rows = np.subtract(packed >> self.shift, 1, dtype=np.int64)
+        packed &= (1 << self.shift) - 1
+        return rows, steps + int(packed.sum(dtype=np.int64))
+
+
+def _direct_span(key_arrays: list[np.ndarray], capacity: int) -> int | None:
+    """The key span when a direct-address index may serve the table:
+    one exact integer key column, a span of at most ``_SPAN_FACTOR``
+    capacities, and an empty slot (misses must end somewhere)."""
+    if len(key_arrays) != 1:
+        return None
+    keys = key_arrays[0]
+    if not keys.size or keys.size >= capacity or not _exact_int(keys.dtype):
+        return None
+    span = int(keys.max()) - int(keys.min()) + 1
+    return span if span <= _SPAN_FACTOR * capacity else None
+
+
+class _PreparedBuild:
+    """One insert outcome (``slots`` read-only) and, for memoized
+    builds, the lazily built :class:`_DirectIndex`.
+
+    The index holds 4 bytes per span key for as long as the entry
+    lives, so only a probe batch at least as long as the key span
+    builds it; shorter batches take the probe loop and cost the memo
+    no index bytes.  Small fact tables probing wide date-range builds
+    are what this keeps out (see docs/cost_model.md for the measured
+    memory and latency on both sides)."""
+
+    __slots__ = ("slots", "capacity", "attempts", "max_contention", "span", "_index")
+
+    def __init__(self, key_arrays, slots, capacity, attempts, max_contention, memoized):
+        slots.flags.writeable = False
+        self.slots = slots
+        self.capacity = capacity
+        self.attempts = attempts
+        self.max_contention = max_contention
+        #: Key span the direct-address index would cover (``None``: the
+        #: loop serves every probe).
+        self.span = _direct_span(key_arrays, capacity) if memoized else None
+        self._index = None
+
+    def direct_index(self, key_arrays: list[np.ndarray], probe_rows: int) -> _DirectIndex | None:
+        if self._index is None:
+            if self.span is None or probe_rows < self.span:
+                return None
+            # Racing threads compute equal indexes; either one may win.
+            self._index = _DirectIndex.prepare(key_arrays[0], self.slots, self.span)
+            if self._index is None:
+                self.span = None
+        return self._index
+
+    @property
+    def nbytes(self) -> int:
+        index = self._index
+        return self.slots.nbytes + (index.nbytes if index is not None else 0)
+
+
+@dataclass(frozen=True)
+class HashTableCacheStats:
+    """Counters of the prepared-build memo (see
+    :func:`hash_table_cache_stats`)."""
+
+    hits: int
+    misses: int
+    admissions: int
+    evictions: int
+    size: int
+    bytes: int
+
+
+#: Prepared builds are pure functions of the build keys and the load
+#: factor, so a digest of those is the memo key.  A digest is admitted
+#: the second time it is seen: ad-hoc literals make most one-off build
+#: sets new, while dimension and broadcast builds repeat.  Bounded LRU
+#: guarded by a lock, like the kernel cache.
+HASH_TABLE_CACHE_CAPACITY = 256
+_memo_lock = threading.Lock()
+_memo: "OrderedDict[bytes, _PreparedBuild]" = OrderedDict()
+#: Digests seen once, awaiting a second sighting (bounded the same way).
+_seen: "OrderedDict[bytes, None]" = OrderedDict()
+_memo_counts = {"hits": 0, "misses": 0, "admissions": 0, "evictions": 0}
+
+
+def hash_table_cache_stats() -> HashTableCacheStats:
+    """Process-wide memo counters (see :class:`HashTableCacheStats`)."""
+    with _memo_lock:
+        return HashTableCacheStats(
+            **_memo_counts,
+            size=len(_memo),
+            bytes=sum(entry.nbytes for entry in _memo.values()),
+        )
+
+
+def clear_hash_table_cache() -> None:
+    """Drop every prepared build and reset the counters (benchmarks
+    that measure cold runs, tests)."""
+    with _memo_lock:
+        _memo.clear()
+        _seen.clear()
+        for key in _memo_counts:
+            _memo_counts[key] = 0
+
+
+def _build_digest(key_arrays: list[np.ndarray], load_factor: float) -> bytes:
+    hasher = hashlib.blake2b(digest_size=16)
+    shape = [(array.dtype.str, len(array)) for array in key_arrays]
+    hasher.update(repr((float(load_factor), shape)).encode())
+    for array in key_arrays:
+        hasher.update(array)
+    return hasher.digest()
+
+
 class JoinHashTable:
     """An open-addressing (linear probing) hash table over build rows.
 
@@ -70,22 +279,25 @@ class JoinHashTable:
     the probing kernel's meter (probes happen *inside* pipelines).
     """
 
-    def __init__(
-        self,
-        key_arrays: list[np.ndarray],
-        slots: np.ndarray,
-        capacity: int,
-        name: str,
-    ):
+    def __init__(self, key_arrays: list[np.ndarray], built: _PreparedBuild, name: str):
         self.key_arrays = key_arrays
-        self.slots = slots
-        self.capacity = capacity
         self.name = name
+        #: The insert outcome (shared with the memo when it holds it).
+        self._built = built
         #: Device buffer backing ``slots`` (set by the build paths so
         #: error handling can free a half-built table).
         self.slots_buffer = None
 
     # ------------------------------------------------------------------
+    @property
+    def slots(self) -> np.ndarray:
+        """Build row per slot (-1 for empty slots); read-only."""
+        return self._built.slots
+
+    @property
+    def capacity(self) -> int:
+        return self._built.capacity
+
     @property
     def num_rows(self) -> int:
         return len(self.key_arrays[0])
@@ -113,7 +325,7 @@ class JoinHashTable:
         capacity = _next_power_of_two(max(16, int(n / load_factor)))
         mask = np.uint64(capacity - 1)
 
-        slots = np.full(capacity, -1, dtype=np.int64)
+        slots = np.full(capacity, -1, dtype=np.int32)
         hashes = hash_key_columns(key_arrays)
         position = (hashes & mask).astype(np.int64)
         pending = np.arange(n, dtype=np.int64)
@@ -161,6 +373,67 @@ class JoinHashTable:
         return slots, capacity, attempts, max_slot_contention
 
     @classmethod
+    def _prepare(
+        cls, key_arrays: list[np.ndarray], name: str, load_factor: float
+    ) -> "JoinHashTable":
+        """A table over ``key_arrays`` whose insert outcome comes from
+        the memo when it holds them.  Failed builds raise before they
+        can be admitted, so they raise again on every build."""
+        key_arrays = [np.ascontiguousarray(array) for array in key_arrays]
+        digest = _build_digest(key_arrays, load_factor)
+        with _memo_lock:
+            built = _memo.get(digest)
+            if built is not None:
+                _memo.move_to_end(digest)
+                _memo_counts["hits"] += 1
+                return cls(key_arrays, built, name)
+            _memo_counts["misses"] += 1
+            admit = digest in _seen
+            if admit:
+                del _seen[digest]
+            else:
+                _seen[digest] = None
+                if len(_seen) > HASH_TABLE_CACHE_CAPACITY:
+                    _seen.popitem(last=False)
+        built = _PreparedBuild(
+            key_arrays, *cls._insert_all(key_arrays, name, load_factor), memoized=admit
+        )
+        if admit:
+            with _memo_lock:
+                if digest in _memo:  # a racing thread admitted it first
+                    built = _memo[digest]
+                else:
+                    _memo[digest] = built
+                    _memo_counts["admissions"] += 1
+                    if len(_memo) > HASH_TABLE_CACHE_CAPACITY:
+                        _memo.popitem(last=False)
+                        _memo_counts["evictions"] += 1
+        return cls(key_arrays, built, name)
+
+    def _charge_inserts(self, meter: TrafficMeter) -> None:
+        """Every insert attempt reads a slot; every success writes one."""
+        attempts = self._built.attempts
+        n = self.num_rows
+        meter.record_table_read(attempts * _SLOT_BYTES)
+        meter.record_table_write(n * _SLOT_BYTES)
+        meter.record_atomics(
+            AtomicBatch(
+                count=attempts,
+                max_chain=max(self._built.max_contention, 1) if n else 0,
+                kind="rmw",
+            )
+        )
+        meter.record_instructions(3 * attempts)
+
+    def _allocate_slots(self, device: VirtualCoprocessor) -> None:
+        """The slot array stays resident in device global memory.  Its
+        buffer keeps the 8-byte slot width the simulated allocation has
+        always been charged at, so peak-allocation figures stay put."""
+        self.slots_buffer = device.allocate(
+            self.slots.astype(np.int64), label=f"{self.name}.slots"
+        )
+
+    @classmethod
     def build(
         cls,
         device: VirtualCoprocessor,
@@ -173,31 +446,13 @@ class JoinHashTable:
         Reads materialized key columns from GPU global memory (the
         multi-pass and operator-at-a-time flow).
         """
-        key_arrays = [np.ascontiguousarray(array) for array in key_arrays]
-        n = len(key_arrays[0])
-        slots, capacity, attempts, max_slot_contention = cls._insert_all(
-            key_arrays, name, load_factor
-        )
-        table = cls(key_arrays=key_arrays, slots=slots, capacity=capacity, name=name)
-
+        table = cls._prepare(key_arrays, name, load_factor)
         meter = device.new_meter()
-        key_bytes = sum(array.nbytes for array in key_arrays)
+        key_bytes = sum(array.nbytes for array in table.key_arrays)
         meter.record_read(MemoryLevel.GLOBAL, key_bytes)
-        # Every insert attempt reads a slot; every success writes one.
-        meter.record_table_read(attempts * _SLOT_BYTES)
-        meter.record_table_write(n * _SLOT_BYTES)
-        meter.record_atomics(
-            AtomicBatch(
-                count=attempts,
-                max_chain=max(max_slot_contention, 1) if n else 0,
-                kind="rmw",
-            )
-        )
-        meter.record_instructions(3 * attempts)
-        device.launch(f"build.{name}", "build", n, meter)
-
-        # The slot array stays resident in device global memory.
-        table.slots_buffer = device.allocate(slots, label=f"{name}.slots")
+        table._charge_inserts(meter)
+        device.launch(f"build.{name}", "build", table.num_rows, meter)
+        table._allocate_slots(device)
         return table
 
     @classmethod
@@ -216,23 +471,9 @@ class JoinHashTable:
         build pipeline (Section 5.2: "hash table operations" as function
         calls in the generated kernel).
         """
-        key_arrays = [np.ascontiguousarray(array) for array in key_arrays]
-        n = len(key_arrays[0])
-        slots, capacity, attempts, max_slot_contention = cls._insert_all(
-            key_arrays, name, load_factor
-        )
-        meter.record_table_read(attempts * _SLOT_BYTES)
-        meter.record_table_write(n * _SLOT_BYTES)
-        meter.record_atomics(
-            AtomicBatch(
-                count=attempts,
-                max_chain=max(max_slot_contention, 1) if n else 0,
-                kind="rmw",
-            )
-        )
-        meter.record_instructions(3 * attempts)
-        table = cls(key_arrays=key_arrays, slots=slots, capacity=capacity, name=name)
-        table.slots_buffer = device.allocate(slots, label=f"{name}.slots")
+        table = cls._prepare(key_arrays, name, load_factor)
+        table._charge_inserts(meter)
+        table._allocate_slots(device)
         return table
 
     # ------------------------------------------------------------------
@@ -258,35 +499,16 @@ class JoinHashTable:
                 f"key count {len(self.key_arrays)}"
             )
         n = len(probe_arrays[0])
-        result = np.full(n, -1, dtype=np.int64)
         if n == 0:
-            return result
-        mask = np.uint64(self.capacity - 1)
-        position = (hash_key_columns(probe_arrays) & mask).astype(np.int64)
-        active = np.arange(n, dtype=np.int64)
-        steps = 0
-        rounds = 0
-        while active.size:
-            rounds += 1
-            if rounds > self.capacity + 1:
-                raise PlanError(f"hash table {self.name!r} probe did not converge")
-            steps += len(active)
-            candidate = self.slots[position[active]]
-            empty = candidate < 0
-            # Empty slot -> miss; result stays -1.
-            occupied_rows = active[~empty]
-            occupied_candidates = candidate[~empty]
-            if occupied_rows.size:
-                equal = np.ones(len(occupied_rows), dtype=bool)
-                for build, probe in zip(self.key_arrays, probe_arrays):
-                    equal &= build[occupied_candidates] == probe[occupied_rows]
-                result[occupied_rows[equal]] = occupied_candidates[equal]
-                remaining = occupied_rows[~equal]
-            else:
-                remaining = occupied_rows
-            position[remaining] = (position[remaining] + 1) % self.capacity
-            active = remaining
-
+            return np.full(0, -1, dtype=np.int64)
+        index = None
+        if _exact_int(probe_arrays[0].dtype):
+            # Probe keys int64 cannot compare exactly stay on the loop.
+            index = self._built.direct_index(self.key_arrays, n)
+        if index is not None:
+            result, steps = index.probe(probe_arrays[0], self.capacity)
+        else:
+            result, steps = self._probe_loop(probe_arrays)
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
         )
@@ -295,3 +517,33 @@ class JoinHashTable:
         )
         meter.record_instructions(4 * steps)
         return result
+
+    def _probe_loop(self, probe_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
+        """The linear-probe loop: build rows (-1 for misses) and the
+        slot reads it took.  Each round reads one slot per probe still
+        walking; ``position`` stays aligned with those probes."""
+        n = len(probe_arrays[0])
+        result = np.full(n, -1, dtype=np.int64)
+        mask = self.capacity - 1
+        position = (hash_key_columns(probe_arrays) & np.uint64(mask)).astype(np.int64)
+        walking = None  # probe rows still walking (None: all, in order)
+        steps = 0
+        rounds = 0
+        while position.size:
+            rounds += 1
+            if rounds > self.capacity + 1:
+                raise PlanError(f"hash table {self.name!r} probe did not converge")
+            steps += len(position)
+            candidate = self.slots[position]
+            # An empty slot ends the walk with a miss (result stays -1).
+            occupied = np.flatnonzero(candidate >= 0)
+            rows = occupied if walking is None else walking[occupied]
+            found = candidate[occupied]
+            equal = np.ones(len(rows), dtype=bool)
+            for build, probe in zip(self.key_arrays, probe_arrays):
+                equal &= build[found] == probe[rows]
+            result[rows[equal]] = found[equal]
+            onward = ~equal
+            walking = rows[onward]
+            position = (position[occupied[onward]] + 1) & mask
+        return result, steps

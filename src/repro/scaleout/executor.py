@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..compression import CompressionStats, resolve_compression
-from ..engines.base import Engine, ExecutionResult, _cast_outputs
+from ..engines.base import Engine, ExecutionResult, _cast_outputs, charged_to
 from ..engines.runtime import QueryRuntime, _sort_order
 from ..faults.injector import FaultInjector, partial_checksum
 from ..faults.plan import FaultPlan
@@ -567,7 +567,7 @@ class ScaleOutExecutor:
                         if child is None:
                             produced = engine.execute_pipeline(pipeline, runtime)
                         else:
-                            produced = engine._execute_pipeline_traced(
+                            produced, _ = engine._execute_pipeline_traced(
                                 index, pipeline, runtime, child
                             )
                         if pipeline.output_schema is not None and produced is not None:
@@ -663,10 +663,11 @@ class ScaleOutExecutor:
                     name=f"{rewritten.name}_p{piece.index}",
                     source=piece.table_name,
                 )
+                morsel_span = None
                 if child is None:
                     produced = engine.execute_pipeline(morsel, runtime)
                 else:
-                    produced = engine._execute_pipeline_traced(
+                    produced, morsel_span = engine._execute_pipeline_traced(
                         len(query.pipelines) - 1 + piece.index,
                         morsel,
                         runtime,
@@ -730,9 +731,11 @@ class ScaleOutExecutor:
                     continue
                 run.failed[piece.index] = kind
                 return False
-            gather_bytes = self._gather_partial(
-                produced, piece.index, runtime, device
-            )
+            # Gather encode kernels: the morsel pipeline's epilogue.
+            with charged_to(morsel_span, device, kernels_only=True):
+                gather_bytes = self._gather_partial(
+                    produced, piece.index, runtime, device
+                )
             run.partials[piece.index] = produced
             run.share.morsels += 1
             run.share.rows += piece.rows

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from ..analysis import format_table
 from ..kernels.codegen import clear_kernel_cache
+from ..primitives.hashtable import clear_hash_table_cache
 from ..placement.stats import PlacementStats
 from ..storage.database import Database
 from ..workloads import SSB_QUERIES, generate_ssb
@@ -194,6 +195,7 @@ def run_serving_benchmark(
 
     # Phase 1: cold vs warm serving latency, single worker. ------------
     clear_kernel_cache()
+    clear_hash_table_cache()
     with Server(database, device=device, engine=engine, workers=1,
                 queue_size=len(queries) + 1, residency=residency,
                 devices=devices, partitioning=partitioning,

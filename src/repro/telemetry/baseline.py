@@ -81,13 +81,16 @@ def measure_fingerprint(
     engine_name: str = "resolution",
     seed: int = 42,
     compression=None,
+    devices: int = 1,
 ) -> dict:
-    """One query's perf fingerprint on a fresh device.
+    """One query's perf fingerprint on a fresh device (or fleet).
 
     ``compression`` (a mode string or policy) fingerprints the
     compression-aware transfer path: ``pcie_bytes`` then counts wire
     (compressed) bytes and ``kernel_launches`` includes the decode
-    kernels, so codec or chooser drift is caught exactly."""
+    kernels, so codec or chooser drift is caught exactly.  With
+    ``devices > 1`` the query runs on a scale-out fleet and
+    ``peak_alloc_bytes`` is the largest peak of any fleet device."""
     from ..execution import ExecutionConfig, resolve_executor
     from ..workloads import ssb_plan, tpch_plan
     from .recorder import result_fingerprint
@@ -96,12 +99,22 @@ def measure_fingerprint(
         tpch_plan(name, database) if workload == "tpch" else ssb_plan(name, database)
     )
     executor = resolve_executor(
-        ExecutionConfig(device=profile, engine=engine_name, compression=compression)
+        ExecutionConfig(
+            device=profile,
+            engine=engine_name,
+            compression=compression,
+            devices=devices,
+        )
     )
     result = executor.execute(plan, database, seed=seed)
+    fleet = (
+        executor.scaleout.fleet.devices
+        if executor.scaleout is not None
+        else [executor.device]
+    )
     return {
         **result_fingerprint(result),
-        "peak_alloc_bytes": int(executor.device.peak_allocated),
+        "peak_alloc_bytes": max(int(device.peak_allocated) for device in fleet),
     }
 
 
@@ -153,6 +166,27 @@ def _measure_all(config: dict) -> dict:
             engine_name=config["engine"],
             seed=config["seed"],
             compression="lazy",
+        )
+        # Multipass twin: the materializing engine builds every hash
+        # table in a kernel of its own (``JoinHashTable.build``).
+        fingerprints[f"{workload}:{name}:multipass"] = measure_fingerprint(
+            workload,
+            name,
+            databases[workload],
+            profile,
+            engine_name="multipass",
+            seed=config["seed"],
+        )
+        # Two-device twin: every device of the fleet runs the broadcast
+        # builds, then the partials merge on the host.
+        fingerprints[f"{workload}:{name}:devices2"] = measure_fingerprint(
+            workload,
+            name,
+            databases[workload],
+            profile,
+            engine_name=config["engine"],
+            seed=config["seed"],
+            devices=2,
         )
     return fingerprints
 

@@ -36,12 +36,15 @@ class TestRecord:
     def test_store_shape(self, store):
         path, data = store
         assert data["version"] == 1
-        # Every query is fingerprinted three times: raw, under
-        # compression="auto" (":compressed"), and under
-        # compression="lazy" (":lazy", late materialization).
+        # Every query is fingerprinted five times: raw, under
+        # compression="auto" (":compressed"), under compression="lazy"
+        # (":lazy", late materialization), on the multipass engine
+        # (":multipass") and on a two-device fleet (":devices2").
         expected = {f"{workload}:{name}" for workload, name in BASELINE_QUERIES}
-        expected |= {f"{key}:compressed" for key in expected} | {
-            f"{key}:lazy" for key in expected
+        expected |= {
+            f"{key}:{twin}"
+            for key in expected
+            for twin in ("compressed", "lazy", "multipass", "devices2")
         }
         assert set(data["queries"]) == expected
         for fingerprint in data["queries"].values():
@@ -135,7 +138,7 @@ class TestCli:
     def test_record_then_check(self, tmp_path, capsys):
         path = str(tmp_path / "bl.json")
         assert main(["baseline", "record", "--baseline", path]) == 0
-        assert "recorded 18 query baselines" in capsys.readouterr().out
+        assert "recorded 30 query baselines" in capsys.readouterr().out
         assert main(["baseline", "check", "--baseline", path]) == 0
         assert "PASS" in capsys.readouterr().out
 
