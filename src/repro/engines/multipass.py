@@ -20,8 +20,8 @@ from ..kernels.context import KernelContext
 from ..plan.physical import AggregateSink, BuildSink, MaterializeSink, Pipeline
 from ..primitives.hashtable import JoinHashTable
 from ..primitives.prefix import device_scan
-from ..primitives.reduce import device_reduce
-from ..primitives.sortlib import device_radix_sort, device_segmented_reduce
+from ..primitives.reduce import charge_reduce
+from ..primitives.sortlib import charge_group_sort, device_segmented_reduce
 from .base import Engine
 from .runtime import HashTableEntry, QueryRuntime
 
@@ -133,30 +133,29 @@ class MultiPassEngine(Engine):
                 for spec in sink.aggregates
                 if spec.expr is not None
             )
-            device_radix_sort(
+            charge_group_sort(
                 runtime.device,
-                result.codes,
+                result.inputs,
+                result.num_groups,
                 payload_bytes=value_bytes,
                 label=f"{pipeline.name}.group_sort",
             )
             device_segmented_reduce(
                 runtime.device,
-                np.sort(result.codes),
+                result.inputs,
                 value_bytes_per_row=max(value_bytes, 4),
                 num_groups=result.num_groups,
                 label=f"{pipeline.name}.group_reduce",
             )
         else:
-            # B1: one hierarchical global reduce per aggregate.
+            # B1: one hierarchical global reduce per aggregate; a count
+            # reduces a materialized int32 column of ones.
             for spec in sink.aggregates:
-                key = f"value:{spec.name}"
-                values = write_ctx.intermediates.get(
-                    key, np.zeros(result.inputs, dtype=np.int32)
-                )
-                device_reduce(
+                values = write_ctx.intermediates.get(f"value:{spec.name}")
+                charge_reduce(
                     runtime.device,
-                    values,
-                    op="sum" if spec.op in ("count", "avg") else spec.op,
+                    result.inputs if values is None else len(values),
+                    4 if values is None else values.dtype.itemsize,
                     label=f"{pipeline.name}.{spec.name}",
                 )
         return result.outputs

@@ -36,8 +36,8 @@ from ..plan.physical import (
 from ..primitives.gather import INDEX_BYTES, random_access_volume
 from ..primitives.hashtable import JoinHashTable
 from ..primitives.prefix import device_scan
-from ..primitives.reduce import device_reduce
-from ..primitives.sortlib import device_radix_sort, device_segmented_reduce
+from ..primitives.reduce import charge_reduce
+from ..primitives.sortlib import charge_group_sort, device_segmented_reduce
 from .base import Engine
 from .runtime import HashTableEntry, QueryRuntime
 
@@ -277,39 +277,35 @@ class OperatorAtATimeEngine(Engine):
         for _, expr in sink.group_keys:
             if not isinstance(expr, ColumnRef):
                 self._materialize_expr(device, scope, count, expr, pipeline)
-        value_bytes = 0
+        value_bytes = {}
         for spec in sink.aggregates:
             if spec.expr is not None:
                 values = self._materialize_expr(device, scope, count, spec.expr, pipeline)
-                value_bytes += values.dtype.itemsize
+                value_bytes[spec.name] = values.dtype.itemsize
 
         result = runtime.aggregate_rows(sink, scope, mask, pipeline.output_schema)
         if result.codes is not None:
             # C1: global sort by key, reduce segments (Experiment 2's
             # flat, sort-dominated curve).
-            device_radix_sort(
-                device, result.codes, payload_bytes=max(value_bytes, 4),
+            row_bytes = max(sum(value_bytes.values()), 4)
+            charge_group_sort(
+                device, count, result.num_groups, payload_bytes=row_bytes,
                 label=f"{pipeline.name}.group_sort",
             )
             device_segmented_reduce(
                 device,
-                np.sort(result.codes),
-                value_bytes_per_row=max(value_bytes, 4),
+                count,
+                value_bytes_per_row=row_bytes,
                 num_groups=result.num_groups,
                 label=f"{pipeline.name}.group_reduce",
             )
         else:
+            # B1 per aggregate; a count reduces an int32 column of ones.
             for spec in sink.aggregates:
-                if spec.expr is not None:
-                    values = np.broadcast_to(
-                        np.asarray(evaluate(spec.expr, scope)), (count,)
-                    )
-                else:
-                    values = np.zeros(count, dtype=np.int32)
-                device_reduce(
+                charge_reduce(
                     device,
-                    values,
-                    op="sum" if spec.op in ("count", "avg") else spec.op,
+                    count,
+                    value_bytes.get(spec.name, 4),
                     label=f"{pipeline.name}.{spec.name}",
                 )
         return result.outputs

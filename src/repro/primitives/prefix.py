@@ -75,9 +75,10 @@ def sequential_prefix_sum(flags) -> list[int]:
 def reference_positions(flags: np.ndarray) -> ScanResult:
     """Vectorized ordered positions (equivalent to A1's semantics)."""
     flags = np.asarray(flags, dtype=bool)
-    running = exclusive_cumsum(flags.astype(np.int64))
-    positions = np.where(flags, running, -1)
-    return ScanResult(positions=positions, total=int(flags.sum()))
+    selected = np.flatnonzero(flags)
+    positions = np.full(len(flags), -1, dtype=np.int64)
+    positions[selected] = np.arange(len(selected), dtype=np.int64)
+    return ScanResult(positions=positions, total=len(selected))
 
 
 # ----------------------------------------------------------------------

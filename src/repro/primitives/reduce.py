@@ -55,26 +55,35 @@ def device_reduce(
 ):
     """Two-kernel tree reduction over device-resident data (B1)."""
     values = np.asarray(values)
-    n = len(values)
-    item = values.dtype.itemsize
+    charge_reduce(device, len(values), values.dtype.itemsize, cta_size, label)
+    return reduce_reference(values, op)
+
+
+def charge_reduce(
+    device: VirtualCoprocessor,
+    n: int,
+    itemsize: int,
+    cta_size: int = DEFAULT_CTA_SIZE,
+    label: str = "reduce",
+) -> None:
+    """Charge :func:`device_reduce` over ``n`` values of ``itemsize``
+    bytes, for callers that compute the result elsewhere."""
     blocks = num_blocks(n, cta_size)
 
     meter = device.new_meter()
-    meter.record_read(MemoryLevel.GLOBAL, n * item)
-    meter.record_write(MemoryLevel.GLOBAL, blocks * item)
-    meter.record_read(MemoryLevel.ONCHIP, n * item)
-    meter.record_write(MemoryLevel.ONCHIP, n * item)
+    meter.record_read(MemoryLevel.GLOBAL, n * itemsize)
+    meter.record_write(MemoryLevel.GLOBAL, blocks * itemsize)
+    meter.record_read(MemoryLevel.ONCHIP, n * itemsize)
+    meter.record_write(MemoryLevel.ONCHIP, n * itemsize)
     meter.record_instructions(n)
     meter.record_barrier(blocks * log2_ceil(cta_size))
     device.launch(f"{label}.block_reduce", "reduce", n, meter)
 
     meter = device.new_meter()
-    meter.record_read(MemoryLevel.GLOBAL, blocks * item)
-    meter.record_write(MemoryLevel.GLOBAL, item)
+    meter.record_read(MemoryLevel.GLOBAL, blocks * itemsize)
+    meter.record_write(MemoryLevel.GLOBAL, itemsize)
     meter.record_instructions(blocks)
     device.launch(f"{label}.final_reduce", "reduce", blocks, meter)
-
-    return reduce_reference(values, op)
 
 
 # ----------------------------------------------------------------------

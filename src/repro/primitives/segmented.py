@@ -33,6 +33,16 @@ from ..hardware.traffic import AtomicBatch, MemoryLevel, TrafficMeter
 from .common import DEFAULT_CTA_SIZE, log2_ceil, num_blocks
 
 
+#: Direct-address factorization applies while the key span (the product
+#: of the per-key value ranges) is at most this many times the row count.
+#: Measured against the sort path (numpy 2.4, 2-core x86_64 VM, int32
+#: keys, 5-100% distinct): at a span of 4n the direct path is 1.9-3.8x
+#: faster from 10k to 300k rows (two-key composites 2-7.5x); at 8n it
+#: only ties in the worst case and at 16n it loses (0.65x).  Below ~1k
+#: rows both take ~10 us either way.
+_DIRECT_SPAN_PER_ROW = 4
+
+
 def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Map composite keys to dense group codes.
 
@@ -48,6 +58,62 @@ def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
         raise ExpressionError("key arrays must have equal length")
     if n == 0:
         return np.zeros(0, dtype=np.int64), [array[:0] for array in key_arrays]
+    direct = direct_address_factorize(key_arrays)
+    return direct if direct is not None else sort_factorize(key_arrays)
+
+
+def direct_address_factorize(
+    key_arrays: list[np.ndarray],
+) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """:func:`factorize` by direct addressing, or ``None`` when the keys
+    do not qualify (a float key, or a span above the rule).
+
+    Each row's keys combine into one offset in mixed radix, the first
+    key most significant, so offset order is the sort path's key order.
+    A presence bitmap over the span marks the occurring offsets; their
+    ranks are the group codes.
+    """
+    n = len(key_arrays[0])
+    limit = _DIRECT_SPAN_PER_ROW * n
+    bounds = []
+    span = 1
+    for array in key_arrays:
+        if array.dtype.kind not in "biu":
+            return None
+        low, high = int(array.min()), int(array.max())
+        span *= high - low + 1
+        if span > limit:
+            return None
+        bounds.append((low, high - low + 1))
+    combined = _offsets(key_arrays[0], bounds[0][0])
+    for array, (low, width) in zip(key_arrays[1:], bounds[1:]):
+        combined *= width
+        combined += _offsets(array, low)
+    presence = np.zeros(span, dtype=bool)
+    presence[combined] = True
+    present = np.flatnonzero(presence)
+    rank = np.empty(span, dtype=np.int64)
+    rank[present] = np.arange(len(present), dtype=np.int64)
+    uniques = []
+    rest = present
+    for array, (low, width) in reversed(list(zip(key_arrays, bounds))):
+        rest, digit = np.divmod(rest, width)
+        # Wraps in the key dtype, exact because every key fits it.
+        uniques.append(digit.astype(array.dtype) + array.dtype.type(low))
+    return rank[combined], uniques[::-1]
+
+
+def _offsets(array: np.ndarray, low: int) -> np.ndarray:
+    """``array - low`` as int64, exact for every integer dtype (uint64
+    values above the int64 range subtract before the cast)."""
+    if array.dtype == np.uint64:
+        return (array - np.uint64(low)).astype(np.int64)
+    return array.astype(np.int64) - low
+
+
+def sort_factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`factorize` by sorting: the reference for every key type."""
+    n = len(key_arrays[0])
     if len(key_arrays) == 1:
         uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
         return inverse.astype(np.int64), [uniques]
@@ -65,22 +131,32 @@ def factorize(key_arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray
 
 
 def grouped_reduce(codes: np.ndarray, num_groups: int, values: np.ndarray, op: str) -> np.ndarray:
-    """Reduce ``values`` into ``num_groups`` buckets keyed by ``codes``."""
+    """Reduce ``values`` into ``num_groups`` buckets keyed by ``codes``.
+
+    Integer sums accumulate in int64 and integer min/max in the value
+    dtype, exact wherever float64's 53-bit mantissa is not (sums wrap
+    past int64); other values reduce in float64.
+    """
     if op == "count":
         return np.bincount(codes, minlength=num_groups).astype(np.int64)
     values = np.asarray(values)
+    integer = np.issubdtype(values.dtype, np.integer)
     if op == "sum":
-        if np.issubdtype(values.dtype, np.integer):
-            return np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups).astype(np.int64)
+        if integer:
+            out = np.zeros(num_groups, dtype=np.int64)
+            np.add.at(out, codes, values.astype(np.int64, copy=False))
+            return out
         return np.bincount(codes, weights=values.astype(np.float64), minlength=num_groups)
-    if op == "min":
-        out = np.full(num_groups, np.inf)
-        np.minimum.at(out, codes, values.astype(np.float64))
-        return out.astype(values.dtype) if np.issubdtype(values.dtype, np.integer) else out
-    if op == "max":
-        out = np.full(num_groups, -np.inf)
-        np.maximum.at(out, codes, values.astype(np.float64))
-        return out.astype(values.dtype) if np.issubdtype(values.dtype, np.integer) else out
+    if op in ("min", "max"):
+        reduce_at = np.minimum.at if op == "min" else np.maximum.at
+        if integer:
+            info = np.iinfo(values.dtype)
+            out = np.full(num_groups, info.max if op == "min" else info.min, dtype=values.dtype)
+            reduce_at(out, codes, values)
+            return out
+        out = np.full(num_groups, np.inf if op == "min" else -np.inf)
+        reduce_at(out, codes, values.astype(np.float64))
+        return out
     raise ExpressionError(f"unknown aggregate {op!r}")
 
 

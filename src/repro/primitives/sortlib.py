@@ -17,18 +17,39 @@ from ..hardware.traffic import MemoryLevel
 #: Radix sort digit width in bits (8-bit digits, the common choice).
 _RADIX_BITS = 8
 _INDEX_BYTES = 4
+#: Group codes from ``factorize`` are int64.
+_CODE_BYTES = 8
 
 
-def _radix_passes(keys: np.ndarray) -> int:
-    """Number of radix passes: a library sort (boost::compute) processes
-    the full key width, so the cost is independent of the observed value
-    range — which is why operator-at-a-time grouped aggregation is flat
-    in the group count (Experiment 2)."""
-    if len(keys) == 0:
+def _radix_passes(n: int, low: int, high: int) -> int:
+    """Number of radix passes over ``n`` keys in ``[low, high]``: a
+    library sort (boost::compute) processes the full key width, so the
+    cost is independent of the observed value range — which is why
+    operator-at-a-time grouped aggregation is flat in the group count
+    (Experiment 2)."""
+    if n == 0:
         return 1
-    fits32 = int(keys.max()) < 2**31 and int(keys.min()) >= -(2**31)
-    bits = 32 if fits32 else 64
+    bits = 32 if -(2**31) <= low and high < 2**31 else 64
     return bits // _RADIX_BITS
+
+
+def _charge_radix_sort(
+    device: VirtualCoprocessor,
+    n: int,
+    key_bytes: int,
+    passes: int,
+    payload_bytes: int,
+    label: str,
+) -> None:
+    element = key_bytes + _INDEX_BYTES + payload_bytes
+    for rank in range(passes):
+        meter = device.new_meter()
+        meter.record_read(MemoryLevel.GLOBAL, n * element)
+        meter.record_write(MemoryLevel.GLOBAL, n * element)
+        meter.record_read(MemoryLevel.ONCHIP, n * 4)
+        meter.record_write(MemoryLevel.ONCHIP, n * 4)
+        meter.record_instructions(3 * n)
+        device.launch(f"{label}.radix_pass{rank}", "sort", n, meter)
 
 
 def device_radix_sort(
@@ -46,34 +67,44 @@ def device_radix_sort(
     """
     keys = np.asarray(keys)
     n = len(keys)
-    passes = _radix_passes(keys)
-    element = keys.dtype.itemsize + _INDEX_BYTES + payload_bytes
-    for rank in range(passes):
-        meter = device.new_meter()
-        meter.record_read(MemoryLevel.GLOBAL, n * element)
-        meter.record_write(MemoryLevel.GLOBAL, n * element)
-        meter.record_read(MemoryLevel.ONCHIP, n * 4)
-        meter.record_write(MemoryLevel.ONCHIP, n * 4)
-        meter.record_instructions(3 * n)
-        device.launch(f"{label}.radix_pass{rank}", "sort", n, meter)
+    low, high = (int(keys.min()), int(keys.max())) if n else (0, 0)
+    _charge_radix_sort(
+        device, n, keys.dtype.itemsize, _radix_passes(n, low, high), payload_bytes, label
+    )
     return np.argsort(keys, kind="stable").astype(np.int64)
+
+
+def charge_group_sort(
+    device: VirtualCoprocessor,
+    n: int,
+    num_groups: int,
+    payload_bytes: int = 0,
+    label: str = "sort",
+) -> None:
+    """Charge :func:`device_radix_sort` of C1's group codes, without
+    sorting them on the host.
+
+    The codes of :func:`repro.primitives.segmented.factorize` are int64
+    and dense in ``0..num_groups-1``, so sizes alone fix every kernel.
+    """
+    passes = _radix_passes(n, 0, num_groups - 1)
+    _charge_radix_sort(device, n, _CODE_BYTES, passes, payload_bytes, label)
 
 
 def device_segmented_reduce(
     device: VirtualCoprocessor,
-    sorted_codes: np.ndarray,
+    n: int,
     value_bytes_per_row: int,
     num_groups: int,
     label: str = "reduce_segments",
 ) -> None:
     """Account the segment-boundary detection + reduction kernels (C1).
 
-    Operates on data already sorted by group code: one kernel flags
-    segment heads, one reduces each segment.  Only accounting — the
-    caller computes the actual aggregates with
+    Operates on ``n`` rows already sorted by group code: one
+    kernel flags segment heads, one reduces each segment.  Only
+    accounting — the caller computes the actual aggregates with
     :func:`repro.primitives.segmented.grouped_reduce`.
     """
-    n = len(sorted_codes)
     code_bytes = n * 4
 
     meter = device.new_meter()

@@ -177,6 +177,17 @@ def _measure_all(config: dict) -> dict:
             engine_name="multipass",
             seed=config["seed"],
         )
+        # Operator-at-a-time twin: every operator is its own kernel, and
+        # aggregates use the library breakers B1 (global reduce) and C1
+        # (radix sort + segmented reduce).
+        fingerprints[f"{workload}:{name}:operator"] = measure_fingerprint(
+            workload,
+            name,
+            databases[workload],
+            profile,
+            engine_name="operator-at-a-time",
+            seed=config["seed"],
+        )
         # Two-device twin: every device of the fleet runs the broadcast
         # builds, then the partials merge on the host.
         fingerprints[f"{workload}:{name}:devices2"] = measure_fingerprint(

@@ -36,15 +36,16 @@ class TestRecord:
     def test_store_shape(self, store):
         path, data = store
         assert data["version"] == 1
-        # Every query is fingerprinted five times: raw, under
+        # Every query is fingerprinted six times: raw, under
         # compression="auto" (":compressed"), under compression="lazy"
         # (":lazy", late materialization), on the multipass engine
-        # (":multipass") and on a two-device fleet (":devices2").
+        # (":multipass"), on the operator-at-a-time engine (":operator")
+        # and on a two-device fleet (":devices2").
         expected = {f"{workload}:{name}" for workload, name in BASELINE_QUERIES}
         expected |= {
             f"{key}:{twin}"
             for key in expected
-            for twin in ("compressed", "lazy", "multipass", "devices2")
+            for twin in ("compressed", "lazy", "multipass", "operator", "devices2")
         }
         assert set(data["queries"]) == expected
         for fingerprint in data["queries"].values():
@@ -138,7 +139,7 @@ class TestCli:
     def test_record_then_check(self, tmp_path, capsys):
         path = str(tmp_path / "bl.json")
         assert main(["baseline", "record", "--baseline", path]) == 0
-        assert "recorded 30 query baselines" in capsys.readouterr().out
+        assert "recorded 36 query baselines" in capsys.readouterr().out
         assert main(["baseline", "check", "--baseline", path]) == 0
         assert "PASS" in capsys.readouterr().out
 

@@ -55,7 +55,7 @@ class TestRadixSort:
 
 class TestSegmentedReduce:
     def test_two_kernels(self, device):
-        device_segmented_reduce(device, np.array([0, 0, 1, 1]), 4, 2)
+        device_segmented_reduce(device, 4, 4, 2)
         assert len(device.log.kernels) == 2
         kinds = {trace.kind for trace in device.log.kernels}
         assert kinds == {"reduce"}
