@@ -8,6 +8,11 @@ positions; a generated ``write`` kernel re-executes the primitives for
 flagged threads and materializes the outputs.  Reduction sinks use the
 pipeline-breaking library implementations B1 (global reduce) and C1
 (global sort + segmented reduce).
+
+The write kernel is charged for re-executing the primitives, but on the
+host it replays the count kernel's outcomes (see the ``replay``
+parameter of :class:`~repro.kernels.context.KernelContext`): every
+flagged row already passed them.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ class MultiPassEngine(Engine):
             mode="multipass",
             rows=runtime.source_rows(pipeline),
             pipeline=pipeline,
+            replayable=True,
         )
         count_kernel = generate_count_kernel(pipeline)
         runtime.kernel_sources[f"{pipeline.name}.count"] = count_kernel.source
@@ -70,6 +76,7 @@ class MultiPassEngine(Engine):
             output_schema=pipeline.output_schema,
             rows=runtime.source_rows(pipeline),
             pipeline=pipeline,
+            replay=count_ctx,
         )
         write_ctx.install_flags(flags)
         write_ctx.set_positions(scan)

@@ -412,7 +412,8 @@ def run_query(
     root, the flight record and the ``query.executed`` event, and the
     trace gets a ``queue_wait`` event.  With a ``plan_cache`` the
     result carries :class:`~repro.serving.ServingStats`; ``metrics``
-    receives the compression family.
+    receives the compression family and, for optimizer-chosen
+    strategies, the per-query ``repro_optimizer_*`` families.
     """
     config = executor.config
     flight = None
@@ -458,8 +459,12 @@ def run_query(
         result.trace = tracer.finish()
     if recorder is not None:
         recorder.complete(flight, result)
-    if metrics is not None and result.compression is not None:
-        observe_compression_metrics(metrics, result.compression)
+    if metrics is not None:
+        if result.compression is not None:
+            observe_compression_metrics(metrics, result.compression)
+        if result.optimizer is not None:
+            labels = {} if worker is None else {"worker": str(worker)}
+            result.optimizer.observe_metrics(metrics, **labels)
     return result
 
 

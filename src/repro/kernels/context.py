@@ -56,6 +56,18 @@ class KernelContext:
         from the scope arrays — wrong for pipelines that reference no
         columns at all (``select count(*)`` without a predicate), whose
         scope is empty while the source still has rows.
+    replayable:
+        A multi-pass count kernel: keep each probe's build rows and
+        per-row steps, each payload gather and each compressed-scan
+        plan for the write kernel that follows.
+    replay:
+        The replayable count kernel a multi-pass write kernel replays.
+        Every row the write kernel sees is flagged, so it already
+        passed every filter and probe of the count kernel: the write
+        kernel charges what re-executing them would cost (filters over
+        its rows, the flagged rows' probe steps and payload hits) and
+        takes the count kernel's probe rows and payload values instead
+        of computing them again.  ``None`` re-executes the primitives.
     """
 
     def __init__(
@@ -69,6 +81,8 @@ class KernelContext:
         output_schema: PlanSchema | None = None,
         rows: int | None = None,
         pipeline=None,
+        replayable: bool = False,
+        replay: "KernelContext | None" = None,
     ):
         if mode not in REDUCTION_MODES:
             raise CompilationError(f"unknown reduction mode {mode!r}")
@@ -102,6 +116,19 @@ class KernelContext:
         #: reach the predicate *expression tree* at runtime — generated
         #: source stays identical regardless of compression policy.
         self.pipeline = pipeline
+        #: Count-kernel outcomes kept for a replaying write kernel:
+        #: (table id, build rows, probed positions or None for all,
+        #: per-row steps) per probe and (name, values) per payload.
+        self._probes: list | None = [] if replayable else None
+        self._payloads: list | None = [] if replayable else None
+        self._replay = replay
+        if replay is not None:
+            self._probe_replay = iter(replay._probes)
+            self._payload_replay = iter(replay._payloads)
+            self._hits: tuple | None = None
+        #: plan_scan outcome per (filter stage, conjunct), shared with a
+        #: replaying write kernel.
+        self._scans: dict = replay._scans if replay is not None else {}
 
     @property
     def profile(self) -> DeviceProfile:
@@ -154,8 +181,12 @@ class KernelContext:
 
         ``cost`` is the expression node count (per-element instruction
         estimate), charged for the rows still alive before the filter.
+        A replaying write kernel ignores ``flags``: every flagged row
+        passed this filter in the count kernel.
         """
         self.meter.record_instructions(self._valid * cost)
+        if self._replay is not None:
+            return mask
         flags = np.broadcast_to(np.asarray(flags, dtype=bool), mask.shape)
         mask = mask & flags
         self._valid = int(np.count_nonzero(mask))
@@ -173,57 +204,69 @@ class KernelContext:
         materialize raw (see ``repro.compression.lazy``).  Both paths
         compute identical flags.
         """
-        predicate = None
-        if self.pipeline is not None and self.runtime.lazy_columns:
-            stage = self.pipeline.stages[index]
-            predicate = getattr(stage, "predicate", None)
-        if predicate is not None:
-            from ..compression.lazy import flatten_conjuncts, plan_scan
+        plans = self._scan_plans(index)
+        if plans is None:
+            self.touch(columns)
+            return self.apply_filter(
+                mask, None if self._replay is not None else fn(self.scope), cost
+            )
+        from ..expressions.eval import evaluate
 
-            conjuncts = flatten_conjuncts(predicate)
-            plans = []
-            any_scan = False
-            policy = self.runtime.compression
-            for conjunct in conjuncts:
-                plan = state = None
-                names = conjunct.columns()
-                if len(names) == 1:
-                    name = next(iter(names))
-                    state = self.runtime.lazy_lookup(self.scope.get(name))
-                    if state is not None:
-                        plan = plan_scan(state, conjunct, name)
-                        if plan is not None:
-                            # Compressed scan vs decode-then-scan, with
-                            # the calibrated per-codec decode factor.
-                            factor = (
-                                policy.decode_factor(state.codec)
-                                if policy is not None
-                                else 1.0
-                            )
-                            decode_side = state.decode_bytes * factor + min(
-                                self._valid, self.base_count
-                            ) * state.itemsize
-                            if plan.read_bytes + plan.onchip_bytes >= decode_side:
-                                plan = None
-                if plan is not None:
-                    any_scan = True
-                plans.append((conjunct, plan, state))
-            if any_scan:
-                for conjunct, plan, state in plans:
+        for conjunct, plan, state in plans:
+            if plan is not None:
+                self.runtime.record_scan(state, plan, self.meter)
+                if self._replay is None:
+                    mask = mask & plan.flags
+                    self._valid = int(mask.sum())
+            else:
+                self.touch(sorted(conjunct.columns()))
+                flags = None if self._replay is not None else evaluate(conjunct, self.scope)
+                mask = self.apply_filter(mask, flags, conjunct.size())
+        return mask
+
+    def _scan_plans(self, index: int) -> list | None:
+        """``(conjunct, plan, state)`` per conjunct of filter stage
+        ``index``, where ``plan`` is the compressed scan this kernel runs
+        for it (``None``: load and evaluate); ``None`` when no conjunct
+        scans compressed.  Both multi-pass kernels decide here, each for
+        the rows it has alive."""
+        if self.pipeline is None or not self.runtime.lazy_columns:
+            return None
+        predicate = getattr(self.pipeline.stages[index], "predicate", None)
+        if predicate is None:
+            return None
+        from ..compression.lazy import flatten_conjuncts, plan_scan
+
+        plans = []
+        any_scan = False
+        policy = self.runtime.compression
+        for position, conjunct in enumerate(flatten_conjuncts(predicate)):
+            plan = state = None
+            names = conjunct.columns()
+            if len(names) == 1:
+                name = next(iter(names))
+                state = self.runtime.lazy_lookup(self.scope.get(name))
+                if state is not None:
+                    key = (index, position)
+                    if key not in self._scans:
+                        self._scans[key] = plan_scan(state, conjunct, name)
+                    plan = self._scans[key]
                     if plan is not None:
-                        self.runtime.record_scan(state, plan, self.meter)
-                        mask = mask & plan.flags
-                        self._valid = int(mask.sum())
-                    else:
-                        from ..expressions.eval import evaluate
-
-                        self.touch(sorted(conjunct.columns()))
-                        mask = self.apply_filter(
-                            mask, evaluate(conjunct, self.scope), conjunct.size()
+                        # Compressed scan vs decode-then-scan, with the
+                        # calibrated per-codec decode factor.
+                        factor = (
+                            policy.decode_factor(state.codec)
+                            if policy is not None
+                            else 1.0
                         )
-                return mask
-        self.touch(columns)
-        return self.apply_filter(mask, fn(self.scope), cost)
+                        decode_side = state.decode_bytes * factor + min(
+                            self._valid, self.base_count
+                        ) * state.itemsize
+                        if plan.read_bytes + plan.onchip_bytes >= decode_side:
+                            plan = None
+            any_scan = any_scan or plan is not None
+            plans.append((conjunct, plan, state))
+        return plans if any_scan else None
 
     def probe(
         self,
@@ -242,19 +285,43 @@ class KernelContext:
         alive = int(np.count_nonzero(mask))
         if key_cost:
             self.meter.record_instructions(alive * key_cost)
+        l2_capacity = self.profile.l2_capacity
+        if self._replay is not None:
+            kept_id, rows, selected, steps = next(self._probe_replay)
+            if kept_id != table_id:
+                raise CompilationError(
+                    f"write kernel probes {table_id!r} where its count kernel "
+                    f"probed {kept_id!r}"
+                )
+            if alive:
+                flagged = self.flags if selected is None else self.flags[selected]
+                entry.table.charge_probe(
+                    self.meter, int(steps.sum(dtype=np.int64, where=flagged)), l2_capacity
+                )
+            return rows
         keys = [np.broadcast_to(np.asarray(k), mask.shape) for k in key_arrays]
-        if alive == self.n:
-            # Every row is alive: probe the key columns as they are.
-            return entry.table.probe(self.meter, keys, self.profile.l2_capacity)
-        rows = np.full(self.n, -1, dtype=np.int64)
-        if alive:
+        selected = None  # every row alive: probe the key columns as they are
+        if alive < self.n:
             selected = np.flatnonzero(mask)
             keys = [k[selected] for k in keys]
-            rows[selected] = entry.table.probe(self.meter, keys, self.profile.l2_capacity)
+        if self._probes is None:
+            found = entry.table.probe(self.meter, keys, l2_capacity)
+        else:
+            found, steps = entry.table.probe(self.meter, keys, l2_capacity, per_row=True)
+        if selected is None:
+            rows = found
+        else:
+            rows = np.full(self.n, -1, dtype=np.int64)
+            rows[selected] = found
+        if self._probes is not None:
+            self._probes.append((table_id, rows, selected, steps))
         return rows
 
     def apply_probe(self, mask: np.ndarray, rows: np.ndarray, kind: str) -> np.ndarray:
-        """Fold probe hits/misses into the mask per join kind."""
+        """Fold probe hits/misses into the mask per join kind (a
+        replaying write kernel's flagged rows all survived it)."""
+        if self._replay is not None:
+            return mask
         found = rows >= 0
         if kind == "inner" or kind == "semi":
             mask = mask & found
@@ -285,14 +352,17 @@ class KernelContext:
             source = entry.payload[name]
         except KeyError:
             raise PlanError(f"hash table {table_id!r} has no payload {name!r}") from None
+        if self._replay is not None:
+            kept_name, values = next(self._payload_replay)
+            if kept_name != name:
+                raise CompilationError(
+                    f"write kernel gathers {name!r} where its count kernel "
+                    f"gathered {kept_name!r}"
+                )
+            self._charge_payload(source, self._flagged_hits(rows))
+            return values
         found = rows >= 0
-        hits = int(np.count_nonzero(found))
-        itemsize = source.dtype.itemsize
-        self.meter.record_read(
-            MemoryLevel.GLOBAL,
-            random_access_volume(hits, itemsize, source.nbytes, self.profile.l2_capacity),
-        )
-        self.meter.record_instructions(hits)
+        self._charge_payload(source, int(np.count_nonzero(found)))
         if len(source) == 0:
             # Empty build side: every probe missed; any fill value is
             # masked off downstream (or replaced by the left-join default).
@@ -303,7 +373,25 @@ class KernelContext:
         if default is not None:
             fill = np.asarray(default).astype(source.dtype)
             values = np.where(found, values, fill)
+        if self._payloads is not None:
+            self._payloads.append((name, values))
         return values
+
+    def _charge_payload(self, source: np.ndarray, hits: int) -> None:
+        self.meter.record_read(
+            MemoryLevel.GLOBAL,
+            random_access_volume(
+                hits, source.dtype.itemsize, source.nbytes, self.profile.l2_capacity
+            ),
+        )
+        self.meter.record_instructions(hits)
+
+    def _flagged_hits(self, rows: np.ndarray) -> int:
+        """Flagged rows with a build row in the count kernel's ``rows``
+        (the hits a re-executed probe would gather for)."""
+        if self._hits is None or self._hits[0] is not rows:
+            self._hits = (rows, int(np.count_nonzero(self.flags & (rows >= 0))))
+        return self._hits[1]
 
     # ------------------------------------------------------------------
     # reductions

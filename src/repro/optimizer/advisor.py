@@ -92,6 +92,28 @@ class OptimizerDecision:
     def describe(self) -> str:
         return self.chosen.describe()
 
+    def observe_metrics(self, metrics, **labels) -> None:
+        """Count this executed decision into the per-query
+        ``repro_optimizer_*`` families (once per query)."""
+        metrics.counter(
+            "repro_optimizer_strategies_total",
+            "Executions by chosen strategy",
+            strategy=self.describe(),
+            **labels,
+        ).inc()
+        metrics.histogram(
+            "repro_optimizer_advise_ms",
+            "Advisor planning overhead per query (ms)",
+            **labels,
+        ).observe(self.advise_ms)
+        error = self.error_fraction()
+        if error is not None:
+            metrics.histogram(
+                "repro_optimizer_prediction_error",
+                "Relative predicted-vs-observed latency error",
+                **labels,
+            ).observe(error)
+
     def render(self, limit: int = 8) -> str:
         """Human-readable candidate table for EXPLAIN output."""
         lines = [

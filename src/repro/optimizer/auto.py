@@ -95,7 +95,6 @@ class AutoExecutor:
         self._transient_device: VirtualCoprocessor | None = None
         self.decisions = 0
         self.fallbacks = 0
-        self._last_decision: OptimizerDecision | None = None
 
     # ------------------------------------------------------------------
     # lazily-built execution resources
@@ -228,7 +227,6 @@ class AutoExecutor:
         result.optimizer = decision
         with self._lock:
             self.decisions += 1
-            self._last_decision = decision
         return result
 
     def _dispatch(
@@ -288,11 +286,12 @@ class AutoExecutor:
 
     # ------------------------------------------------------------------
     def observe_metrics(self, metrics, **labels) -> None:
-        """Export ``repro_optimizer_*`` metrics into ``metrics``."""
+        """Export the executor's ``repro_optimizer_*`` totals into
+        ``metrics`` (per-query families: :meth:`OptimizerDecision.observe_metrics`,
+        called once per query by :func:`repro.execution.run_query`)."""
         with self._lock:
             decisions = self.decisions
             fallbacks = self.fallbacks
-            last = self._last_decision
         metrics.counter(
             "repro_optimizer_decisions_total",
             "Strategy decisions made by the adaptive optimizer",
@@ -322,25 +321,6 @@ class AutoExecutor:
                 "Median relative predicted-vs-observed latency error",
                 **labels,
             ).set(time_error)
-        if last is not None:
-            metrics.counter(
-                "repro_optimizer_strategies_total",
-                "Executions by chosen strategy",
-                strategy=last.chosen.describe(),
-                **labels,
-            ).inc()
-            metrics.histogram(
-                "repro_optimizer_advise_ms",
-                "Advisor planning overhead per query (ms)",
-                **labels,
-            ).observe(last.advise_ms)
-            error = last.error_fraction()
-            if error is not None:
-                metrics.histogram(
-                    "repro_optimizer_prediction_error",
-                    "Relative predicted-vs-observed latency error",
-                    **labels,
-                ).observe(error)
 
     def placement_stats(self):
         device = self._pooled_device

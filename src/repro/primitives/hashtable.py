@@ -16,9 +16,9 @@ the build keys and the probe keys, so the host need not redo it to
 charge it.  A process-wide memo keyed by a digest of the build keys
 keeps the insert outcome of builds seen at least twice, and lazily an
 exact direct-address probe index for single integer keys over a dense
-span.  Every build and probe still charges the meter exactly what the
-insert and probe loops below count; those loops remain the reference
-and serve every table the fast path does not cover.
+or small span.  Every build and probe still charges the meter exactly
+what the insert and probe loops below count; those loops remain the
+reference and serve every table the fast path does not cover.
 """
 
 from __future__ import annotations
@@ -82,8 +82,12 @@ def _next_power_of_two(value: int) -> int:
 
 #: Direct-address probes cover build keys whose span (max - min + 1) is
 #: at most this many table capacities (SSB's yyyymmdd date keys: 2,557
-#: keys over a span of 61,131 in 8,192 slots).
+#: keys over a span of 61,131 in 8,192 slots), or at most
+#: ``_SPAN_FLOOR`` keys (256 KiB of packed int32 entries) for small
+#: filtered builds over wide key ranges (SSB ``part`` by brand: 101
+#: keys over a span of ~10,000 in 256 slots).
 _SPAN_FACTOR = 8
+_SPAN_FLOOR = 1 << 16
 
 
 def _exact_int(dtype: np.dtype) -> bool:
@@ -146,34 +150,37 @@ class _DirectIndex:
         run.flags.writeable = False
         return cls(low, span, shift, packed, run)
 
-    def probe(self, keys: np.ndarray, capacity: int) -> tuple[np.ndarray, int]:
-        """Build rows (-1 for misses) and total linear-probe steps."""
+    def probe(self, keys: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+        """Build rows (-1 for misses) and the linear-probe steps of
+        each key (int32)."""
         offset = keys.astype(np.int64).view(np.uint64)
         offset -= self.low
-        steps = 0
+        outside = None
         if offset.max() >= self.span:
-            # Keys outside the span miss: walk from their home slot.
             outside = np.flatnonzero(offset >= self.span)
-            home = hash_key_columns([keys[outside]]) & np.uint64(capacity - 1)
-            steps = int(self.run[home.astype(np.int64)].sum(dtype=np.int64))
             np.minimum(offset, self.span, out=offset)
         packed = self.packed[offset.view(np.int64)]
         rows = np.subtract(packed >> self.shift, 1, dtype=np.int64)
         packed &= (1 << self.shift) - 1
-        return rows, steps + int(packed.sum(dtype=np.int64))
+        if outside is not None:
+            # Keys outside the span miss: walk from their home slot.
+            home = hash_key_columns([keys[outside]]) & np.uint64(capacity - 1)
+            packed[outside] = self.run[home.astype(np.int64)]
+        return rows, packed
 
 
 def _direct_span(key_arrays: list[np.ndarray], capacity: int) -> int | None:
     """The key span when a direct-address index may serve the table:
     one exact integer key column, a span of at most ``_SPAN_FACTOR``
-    capacities, and an empty slot (misses must end somewhere)."""
+    capacities or ``_SPAN_FLOOR`` keys, and an empty slot (misses must
+    end somewhere)."""
     if len(key_arrays) != 1:
         return None
     keys = key_arrays[0]
     if not keys.size or keys.size >= capacity or not _exact_int(keys.dtype):
         return None
     span = int(keys.max()) - int(keys.min()) + 1
-    return span if span <= _SPAN_FACTOR * capacity else None
+    return span if span <= max(_SPAN_FACTOR * capacity, _SPAN_FLOOR) else None
 
 
 class _PreparedBuild:
@@ -482,7 +489,8 @@ class JoinHashTable:
         meter: TrafficMeter,
         probe_arrays: list[np.ndarray],
         l2_capacity: int | None = None,
-    ) -> np.ndarray:
+        per_row: bool = False,
+    ) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
         """Probe the table; returns the matching build row per probe row.
 
         The result holds the build-side row index for hits and -1 for
@@ -491,6 +499,11 @@ class JoinHashTable:
         write, or compound kernels, never as kernels of their own.
         Tables larger than ``l2_capacity`` pay DRAM transaction
         amplification per slot access.
+
+        With ``per_row`` the result is ``(rows, steps)``: the int32
+        steps each probe row took, whose sum is what the meter was
+        charged — a multi-pass write kernel charges its flagged rows'
+        share through :meth:`charge_probe` instead of probing again.
         """
         probe_arrays = [np.ascontiguousarray(array) for array in probe_arrays]
         if len(probe_arrays) != len(self.key_arrays):
@@ -500,15 +513,26 @@ class JoinHashTable:
             )
         n = len(probe_arrays[0])
         if n == 0:
-            return np.full(0, -1, dtype=np.int64)
+            rows = np.full(0, -1, dtype=np.int64)
+            return (rows, np.zeros(0, dtype=np.int32)) if per_row else rows
         index = None
         if _exact_int(probe_arrays[0].dtype):
             # Probe keys int64 cannot compare exactly stay on the loop.
             index = self._built.direct_index(self.key_arrays, n)
         if index is not None:
-            result, steps = index.probe(probe_arrays[0], self.capacity)
+            rows, steps = index.probe(probe_arrays[0], self.capacity)
+            total = int(steps.sum(dtype=np.int64))
         else:
-            result, steps = self._probe_loop(probe_arrays)
+            rows, steps = self._probe_loop(probe_arrays, per_row)
+            total = int(steps.sum(dtype=np.int64)) if per_row else steps
+        self.charge_probe(meter, total, l2_capacity)
+        return (rows, steps) if per_row else rows
+
+    def charge_probe(
+        self, meter: TrafficMeter, steps: int, l2_capacity: int | None = None
+    ) -> None:
+        """Charge ``steps`` linear-probe steps: one random read of a slot
+        and its stored key per step, 4 instructions per step."""
         structure_bytes = self.capacity * _SLOT_BYTES + sum(
             array.nbytes for array in self.key_arrays
         )
@@ -516,14 +540,17 @@ class JoinHashTable:
             random_access_volume(steps, self.entry_bytes, structure_bytes, l2_capacity)
         )
         meter.record_instructions(4 * steps)
-        return result
 
-    def _probe_loop(self, probe_arrays: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    def _probe_loop(
+        self, probe_arrays: list[np.ndarray], per_row: bool = False
+    ) -> tuple[np.ndarray, "int | np.ndarray"]:
         """The linear-probe loop: build rows (-1 for misses) and the
-        slot reads it took.  Each round reads one slot per probe still
-        walking; ``position`` stays aligned with those probes."""
+        slot reads it took, in total or (``per_row``) per probe row.
+        Each round reads one slot per probe still walking; ``position``
+        stays aligned with those probes."""
         n = len(probe_arrays[0])
         result = np.full(n, -1, dtype=np.int64)
+        counts = np.ones(n, dtype=np.int32) if per_row else None
         mask = self.capacity - 1
         position = (hash_key_columns(probe_arrays) & np.uint64(mask)).astype(np.int64)
         walking = None  # probe rows still walking (None: all, in order)
@@ -546,4 +573,6 @@ class JoinHashTable:
             onward = ~equal
             walking = rows[onward]
             position = (position[occupied[onward]] + 1) & mask
-        return result, steps
+            if counts is not None:
+                counts[walking] = rounds + 1
+        return result, steps if counts is None else counts

@@ -125,8 +125,71 @@ def test_property_direct_probe_matches_loop(
         # Long enough a batch to pay for the index.
         probe = np.resize(probe, max(len(probe), span))
     warm = _assert_same_work([build], [probe], l2_capacity)
-    dense = len(build) and span <= 8 * warm.capacity and len(probe) >= span
+    dense = len(build) and span <= max(8 * warm.capacity, 65_536) and len(probe) >= span
     assert _probed_directly(warm) == bool(dense)
+
+
+@pytest.mark.parametrize(
+    "keys, span",
+    [
+        pytest.param(13, 1_500, id="part-by-brand-13-over-1500"),
+        pytest.param(101, 10_000, id="part-by-category-101-over-10000"),
+        pytest.param(2_557, 61_131, id="date-2557-over-61131"),
+    ],
+)
+def test_sparse_ssb_builds_take_the_index(keys, span):
+    """Small filtered builds over wide key ranges (SSB's filtered
+    ``part``/``customer`` builds and its date dimension) span more than
+    8 capacities but at most 65,536 keys: they take the index."""
+    rng = np.random.default_rng(keys)
+    interior = rng.choice(np.arange(1, span - 1), size=keys - 2, replace=False)
+    build = np.concatenate([[1, span], 1 + interior]).astype(np.int32)
+    probe = rng.integers(-50, span + 50, size=span + 100).astype(np.int32)
+    probe[::7] = build[rng.integers(0, keys, size=len(probe[::7]))]
+    warm = _assert_same_work([build], [probe], GTX970.l2_capacity)
+    assert warm._built.span == span
+    assert _probed_directly(warm)
+
+
+@given(
+    low=st.integers(-100_000, 100_000),
+    offsets=st.lists(st.integers(0, 2_000), max_size=200, unique=True),
+    probe_offsets=st.lists(st.integers(-3_000, 5_000), max_size=300),
+    stride=st.sampled_from([1, 1_000]),
+    kind=st.sampled_from(["inner", "anti", "left"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_per_row_steps_sum_to_the_charge(low, offsets, probe_offsets, stride, kind):
+    """Per-row steps (kept by multi-pass count kernels) sum to the
+    probe's total on the loop and on the direct index, for keys in and
+    out of the span, negative keys, and the rows each join kind keeps."""
+    build = low + stride * np.array(offsets, dtype=np.int64)
+    probe = low + stride * np.array(probe_offsets, dtype=np.int64)
+    span = int(build.max()) - int(build.min()) + 1 if len(build) else 0
+    if len(probe) and span <= 65_536:
+        probe = np.resize(probe, max(len(probe), span))
+    (cold, cold_device), (warm, warm_device) = _cold_and_warm([build])
+    for table, device in ((cold, cold_device), (warm, warm_device)):
+        total = device.new_meter()
+        rows = table.probe(total, [probe])
+        meter = device.new_meter()
+        kept, steps = table.probe(meter, [probe], per_row=True)
+        assert np.array_equal(kept, rows) and vars(meter) == vars(total)
+        assert steps.dtype == np.int32 and len(steps) == len(probe)
+        if len(probe):
+            assert steps.min() >= 1
+        _, reference = _reference_probe(table, [probe]) if len(probe) else (None, 0)
+        assert int(steps.sum()) == reference
+        # A write kernel's flagged rows: the hits (inner), the misses
+        # (anti) or every row (left) charge the steps they took.
+        flagged = {"inner": rows >= 0, "anti": rows < 0, "left": np.ones(len(rows), bool)}[kind]
+        charged = device.new_meter()
+        table.charge_probe(charged, int(steps.sum(where=flagged, dtype=np.int64)))
+        subset = device.new_meter()
+        if flagged.any():
+            table.probe(subset, [probe[flagged]])
+        assert vars(charged) == vars(subset)
+    assert _probed_directly(warm) == bool(len(build) and len(probe) and span <= 65_536)
 
 
 def test_extreme_probe_keys_land_outside_the_span():

@@ -443,10 +443,29 @@ def test_auto_metrics_exported(ssb_db):
     from repro.telemetry.metrics import MetricsRegistry
 
     auto = AutoExecutor(GTX970, PCIE3)
-    auto.execute(_physical(microbench.projection_query(5), ssb_db), ssb_db)
+    result = auto.execute(_physical(microbench.projection_query(5), ssb_db), ssb_db)
     registry = MetricsRegistry()
     auto.observe_metrics(registry, worker="0")
     text = registry.render()
     assert "repro_optimizer_decisions_total" in text
     assert "repro_optimizer_oom_fallbacks_total" in text
-    assert "repro_optimizer_advise_ms" in text
+    # Per-query families come from the executed decision, not a scrape.
+    assert "repro_optimizer_advise_ms" not in text
+    result.optimizer.observe_metrics(registry, worker="0")
+    assert "repro_optimizer_advise_ms" in registry.render()
+
+
+def test_server_observes_optimizer_metrics_once_per_query(ssb_db):
+    """Scrapes export totals; they do not re-observe the last decision."""
+    from repro.serving import Server
+    from repro.telemetry.metrics import parse_prometheus_text
+
+    with Server(ssb_db, engine="auto", workers=1) as server:
+        server.execute("select sum(lo_revenue) as r from lineorder where lo_discount >= 2")
+        server.metrics_text()
+        parsed = parse_prometheus_text(server.metrics_text())
+    strategies = parsed["repro_optimizer_strategies_total"]
+    assert sum(value for _, value in strategies) == 1
+    assert strategies[0][0]["worker"] == "0"
+    assert [value for _, value in parsed["repro_optimizer_advise_ms_count"]] == [1]
+    assert [value for _, value in parsed["repro_optimizer_decisions_total"]] == [1]
